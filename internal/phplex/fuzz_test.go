@@ -39,8 +39,14 @@ func FuzzLex(f *testing.F) {
 		`<?php $d = "\u{D800}\u{48`,
 		`<?php $d = "\777\x";`,
 		"<?php $d = \"\\",
+		// Keyword folding is ASCII-only: U+212A KELVIN SIGN is not 'k'.
+		"<?php brea\u212a; BREAK; Break;",
 	} {
 		f.Add(seed)
+	}
+	// Every operator spelling and longest-match edge.
+	for _, tc := range operatorCases {
+		f.Add("<?php " + tc.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks := New("fuzz.php", src).Tokens()
