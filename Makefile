@@ -138,10 +138,10 @@ bench-interp-diff:
 	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^BenchmarkEngine' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
-# One-iteration smoke over the constraint-engine and execution-engine
-# benchmarks: keeps the benchmark harnesses compiling and running inside
-# `make check` without paying for a real measurement.
+# One-iteration smoke over the front-end, constraint-engine and
+# execution-engine benchmarks: keeps the benchmark harnesses compiling and
+# running inside `make check` without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkPhaseParse$$|BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .

@@ -7,7 +7,7 @@
 //
 //	BenchmarkTableIII/<app>        one full pipeline run per Table III row
 //	BenchmarkComparison            Section IV-C, all three tools, 44 apps
-//	BenchmarkPhase*                per-phase costs on corpus applications
+//	BenchmarkLex, BenchmarkPhase*  per-phase costs on corpus applications
 //	BenchmarkSolver*               the SMT layer on the paper's constraints
 //	BenchmarkAblation*             locality on/off, loop-unroll depth,
 //	                               solver candidate budget
@@ -26,7 +26,9 @@ import (
 	"repro/internal/ir"
 	"repro/internal/locality"
 	"repro/internal/phpast"
+	"repro/internal/phplex"
 	"repro/internal/phpparser"
+	"repro/internal/phptoken"
 	"repro/internal/smt"
 	"repro/internal/uchecker"
 )
@@ -90,6 +92,25 @@ func BenchmarkPhaseParse(b *testing.B) {
 			f, _ := phpparser.Parse(name, src)
 			if f == nil {
 				b.Fatal("nil file")
+			}
+		}
+	}
+}
+
+// BenchmarkLex measures the lexer alone on the same app, pulling tokens
+// one at a time as the parser does.
+func BenchmarkLex(b *testing.B) {
+	app, _ := corpus.ByName("Joomla-Bible-study 9.1.1")
+	var total int
+	for _, src := range app.Sources {
+		total += len(src)
+	}
+	b.SetBytes(int64(total))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for name, src := range app.Sources {
+			l := phplex.New(name, src)
+			for l.Next().Kind != phptoken.EOF {
 			}
 		}
 	}

@@ -247,9 +247,12 @@ func RenderTableIII(rows []Row) string {
 // User Extra Fields, the Table III budget-exhaustion false negative —
 // under the inline (before) and summary (after) interprocedural
 // strategies with otherwise identical options, so the win is visible as
-// two adjacent rows.
+// two adjacent rows. The pair runs untraced: the caller's OnSpan and
+// Trace belong to its own sweep, whose Cimy row these extra runs must not
+// join.
 func CimyBeforeAfter(opts uchecker.Options) (before, after Row) {
 	app := mustApp("Cimy User Extra Fields 2.3.8")
+	opts.OnSpan, opts.Trace = nil, nil
 	inlineOpts := opts
 	inlineOpts.Interproc = interp.InterprocInline
 	summaryOpts := opts

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/interp"
+	"repro/internal/obs"
 	"repro/internal/uchecker"
 )
 
@@ -468,5 +469,48 @@ func TestTableIIIApps(t *testing.T) {
 		if r.Report.Name != apps[i].Name {
 			t.Errorf("report %d = %q, want %q", i, r.Report.Name, apps[i].Name)
 		}
+	}
+}
+
+// TestCimyBeforeAfterUntraced pins the -phases fix: ucheck-bench runs
+// CimyBeforeAfter with the sweep's options, so the pair must not deliver
+// spans to the sweep's OnSpan hook or Trace recorder. With a counting
+// hook, the sweep's Cimy span count equals that of a single RunApp.
+func TestCimyBeforeAfterUntraced(t *testing.T) {
+	app := mustApp("Cimy User Extra Fields 2.3.8")
+	var mu sync.Mutex
+	spans := 0
+	opts := uchecker.Options{
+		// A small budget keeps the inline run's abort cheap; the span
+		// count does not depend on it.
+		Budgets:   uchecker.Budgets{MaxPaths: 2000},
+		Interproc: interp.InterprocSummary,
+		OnSpan: func(sp obs.Span) {
+			if sp.Attr("app") == app.Name {
+				mu.Lock()
+				spans++
+				mu.Unlock()
+			}
+		},
+		Trace: obs.NewRecorder(),
+	}
+	RunApp(app, opts)
+	single, recorded := spans, opts.Trace.Len()
+	if single == 0 || recorded == 0 {
+		t.Fatalf("single run delivered %d spans and recorded %d, want both > 0", single, recorded)
+	}
+
+	spans = 0
+	opts.Trace = obs.NewRecorder()
+	RunApp(app, opts) // the sweep's Cimy row
+	before, after := CimyBeforeAfter(opts)
+	if spans != single {
+		t.Errorf("sweep + CimyBeforeAfter delivered %d Cimy spans, want %d (one RunApp)", spans, single)
+	}
+	if got := opts.Trace.Len(); got != recorded {
+		t.Errorf("sweep + CimyBeforeAfter recorded %d spans, want %d (one RunApp)", got, recorded)
+	}
+	if before.Report == nil || after.Report == nil {
+		t.Fatal("CimyBeforeAfter returned no reports")
 	}
 }

@@ -96,10 +96,10 @@ func SplitInterp(raw string) []Segment {
 			continue
 		}
 		// Simple syntax: $name, optionally followed by [index] or ->prop.
-		if c == '$' && i+1 < len(raw) && isIdentStart(raw[i+1]) {
+		if c == '$' && i+1 < len(raw) && identStart[raw[i+1]] {
 			flush()
 			j := i + 1
-			for j < len(raw) && isIdentPart(raw[j]) {
+			for j < len(raw) && identPart[raw[j]] {
 				j++
 			}
 			name := raw[i+1 : j]
@@ -117,9 +117,9 @@ func SplitInterp(raw string) []Segment {
 				}
 			}
 			// Property access?
-			if j+1 < len(raw) && raw[j] == '-' && raw[j+1] == '>' && j+2 < len(raw) && isIdentStart(raw[j+2]) {
+			if j+1 < len(raw) && raw[j] == '-' && raw[j+1] == '>' && j+2 < len(raw) && identStart[raw[j+2]] {
 				k := j + 2
-				for k < len(raw) && isIdentPart(raw[k]) {
+				for k < len(raw) && identPart[raw[k]] {
 					k++
 				}
 				segs = append(segs, Segment{Kind: SegVarProp, Name: name, Prop: raw[j+2 : k]})

@@ -511,3 +511,30 @@ func TestLexInvalidByteRecovers(t *testing.T) {
 		t.Error("lexing did not recover after invalid byte")
 	}
 }
+
+// TestLexKeywordFoldingASCIIOnly pins PHP's ASCII-only keyword folding.
+// Unicode lower-casing maps U+212A KELVIN SIGN to 'k', which once made
+// "brea\u212a" (ending in that sign) lex as the keyword break.
+func TestLexKeywordFoldingASCIIOnly(t *testing.T) {
+	tests := []struct {
+		src  string
+		want phptoken.Kind
+	}{
+		{"brea\u212a", phptoken.Ident},
+		{"\u212aeyword", phptoken.Ident},
+		{"i\u017f\u017fet", phptoken.Ident}, // U+017F LATIN SMALL LETTER LONG S folds to 's'
+		{"BREAK", phptoken.KwBreak},
+		{"Break", phptoken.KwBreak},
+		{"break", phptoken.KwBreak},
+		{"ISSET", phptoken.KwIsset},
+		{"Include_Once", phptoken.KwIncludeOnce},
+	}
+	for _, tt := range tests {
+		t.Run(tt.src, func(t *testing.T) {
+			toks := New("kw.php", "<?php "+tt.src+";").Tokens()
+			if got := toks[1]; got.Kind != tt.want || got.Value != tt.src {
+				t.Errorf("token = %v %q, want %v %q", got.Kind, got.Value, tt.want, tt.src)
+			}
+		})
+	}
+}

@@ -273,3 +273,32 @@ func TestParseExprEntry(t *testing.T) {
 		t.Errorf("got %+v", e)
 	}
 }
+
+// TestParseFoldingASCIIOnly pins PHP's ASCII-only case folding for cast
+// names and context keywords: upper-case ASCII spellings still match,
+// but a non-ASCII letter that Unicode folds to an ASCII one does not.
+func TestParseFoldingASCIIOnly(t *testing.T) {
+	stmt := firstStmt(t, `<?php $x = (INT)$y;`).(*phpast.ExprStmt)
+	if c, ok := stmt.X.(*phpast.Assign).Value.(*phpast.Cast); !ok || c.Type != "int" {
+		t.Errorf("(INT)$y = %s, want an int cast", phpast.Dump(stmt))
+	}
+	// U+0130 LATIN CAPITAL LETTER I WITH DOT ABOVE lower-cases to 'i'.
+	f, _ := Parse("fold.php", "<?php $x = (İnt)$y;")
+	phpast.Walk(f, func(n phpast.Node) bool {
+		if _, ok := n.(*phpast.Cast); ok {
+			t.Errorf("(İnt)$y parsed as a cast: %s", phpast.Dump(f))
+		}
+		return true
+	})
+
+	f = mustParse(t, "<?php if ($a): echo 1; ENDIF;")
+	if len(f.Stmts) != 1 {
+		t.Errorf("ENDIF did not close the if: %s", phpast.Dump(f))
+	}
+	// U+017F LATIN SMALL LETTER LONG S folds to 's' under Unicode rules.
+	// It stays an identifier, so the switch runs on to the end of input.
+	f, _ = Parse("fold.php", "<?php switch ($a): case 1: break; endſwitch;")
+	if sw, ok := f.Stmts[0].(*phpast.Switch); !ok || len(sw.Cases[0].Stmts) != 2 {
+		t.Errorf("endſwitch closed the switch: %s", phpast.Dump(f))
+	}
+}

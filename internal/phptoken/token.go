@@ -292,8 +292,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// keywords maps lower-cased identifier text to keyword kinds. PHP keywords
-// are case-insensitive.
+// keywords maps lower-case identifier text to keyword kinds.
 var keywords = map[string]Kind{
 	"function":     KwFunction,
 	"return":       KwReturn,
@@ -352,10 +351,28 @@ var keywords = map[string]Kind{
 	"xor":          XorKw,
 }
 
-// Lookup maps an identifier (already lower-cased by the caller) to its
-// keyword kind, or returns Ident when the text is not a keyword.
-func Lookup(lower string) Kind {
-	if k, ok := keywords[lower]; ok {
+// maxKeywordLen is the length of the longest keywords ("include_once",
+// "require_once").
+const maxKeywordLen = 12
+
+// Lookup maps an identifier, in any ASCII letter case, to its keyword
+// kind, or returns Ident when the text is not a keyword. PHP keywords are
+// case-insensitive in ASCII only, so the name is folded byte by byte into
+// a stack buffer: a non-ASCII letter (such as U+212A KELVIN SIGN, which
+// Unicode lower-cases to 'k') never matches a keyword.
+func Lookup(name string) Kind {
+	if len(name) > maxKeywordLen {
+		return Ident
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	if k, ok := keywords[string(buf[:len(name)])]; ok {
 		return k
 	}
 	return Ident

@@ -1,6 +1,9 @@
 package phptoken
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -23,18 +26,36 @@ func TestKindString(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	cases := map[string]Kind{
-		"if":       KwIf,
-		"function": KwFunction,
-		"die":      KwExit,
-		"exit":     KwExit,
-		"and":      AndKw,
-		"or":       OrKw,
-		"xor":      XorKw,
-		"banana":   Ident,
+		"if":            KwIf,
+		"function":      KwFunction,
+		"die":           KwExit,
+		"exit":          KwExit,
+		"and":           AndKw,
+		"or":            OrKw,
+		"xor":           XorKw,
+		"banana":        Ident,
+		"IF":            KwIf,
+		"Function":      KwFunction,
+		"DIE":           KwExit,
+		"brea\u212a":    Ident, // U+212A KELVIN SIGN is not an ASCII 'k'
+		"include_once_": Ident,
 	}
 	for in, want := range cases {
 		if got := Lookup(in); got != want {
 			t.Errorf("Lookup(%q) = %v, want %v", in, got, want)
+		}
+	}
+}
+
+// TestLookupCoversEveryKeyword checks that maxKeywordLen admits every
+// keyword, in lower and upper case.
+func TestLookupCoversEveryKeyword(t *testing.T) {
+	for kw, want := range keywords {
+		if len(kw) > maxKeywordLen {
+			t.Errorf("keyword %q is longer than maxKeywordLen %d", kw, maxKeywordLen)
+		}
+		if got := Lookup(strings.ToUpper(kw)); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", strings.ToUpper(kw), got, want)
 		}
 	}
 }
