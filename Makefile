@@ -114,9 +114,11 @@ bench-scan:
 	$(GO) test -run '^$$' -bench 'BenchmarkScan(Serial|Parallel|Roots)' .
 
 # Shared-structure constraint-engine micro-benchmarks (interned vs the
-# -no-intern ablation), archived as JSON for cross-commit comparison.
+# -no-intern ablation) and the benign-verdict solver benchmark, whose
+# models_tried/op is the bounded search a refuted cube avoids, archived
+# as JSON for cross-commit comparison.
 bench-smt:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 2s -benchmem ./internal/smt; \
+	@{ $(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverBenign' -benchtime 2s -benchmem ./internal/smt; \
 	   $(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 2s -benchmem ./internal/heapgraph; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_smt.json
 	@echo "wrote BENCH_smt.json"
 
@@ -142,6 +144,6 @@ bench-interp-diff:
 # execution-engine benchmarks: keeps the benchmark harnesses compiling and
 # running inside `make check` without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction' -benchtime 1x ./internal/smt
+	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverBenign' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
 	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkPhaseParse$$|BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .

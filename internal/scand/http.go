@@ -157,20 +157,16 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	raw, err := d.Result(id)
+	raw, err := d.Result(r.PathValue("id"))
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrUnknownJob):
 			writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		case errors.Is(err, ErrNotTerminal):
+			// Not done yet: 409 with the state, so pollers can
+			// distinguish "in progress" from "gone wrong".
+			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 		default:
-			job, gerr := d.Get(id)
-			if gerr == nil && !job.State.Terminal() {
-				// Not done yet: 409 with the state, so pollers can
-				// distinguish "in progress" from "gone wrong".
-				writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-				return
-			}
 			writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
 		}
 		return

@@ -466,3 +466,103 @@ move_uploaded_file($_FILES['doc']['tmp_name'], "` + dest + `" . $name);
 		}
 	}
 }
+
+// TestResultNotTerminalSentinel: Result reports an unfinished job with
+// the ErrNotTerminal sentinel, which /result maps to 409 from that one
+// snapshot; a finished job is 200 and a cancelled one 410.
+func TestResultNotTerminalSentinel(t *testing.T) {
+	apps := vulnApps(2)
+	gate := newScanGate()
+	cfg := testConfig(t.TempDir(), 1)
+	cfg.Scan.FaultHook = gate.hook
+	d := mustOpen(t, cfg)
+	defer d.Close()
+	defer gate.release()
+	h := d.Handler()
+	status := func(id string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id+"/result", nil))
+		return rec.Code
+	}
+
+	running, err := d.Submit("acme", apps[0].Name, apps[0].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, running.ID, JobRunning, 10*time.Second)
+	queued, err := d.Submit("acme", apps[1].Name, apps[1].Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if _, err := d.Result(id); !errors.Is(err, ErrNotTerminal) {
+			t.Fatalf("Result(%s) = %v, want ErrNotTerminal", id, err)
+		}
+		if got := status(id); got != http.StatusConflict {
+			t.Fatalf("/result of unfinished %s = %d, want 409", id, got)
+		}
+	}
+
+	if err := d.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	gate.release()
+	waitTerminal(t, d, []string{running.ID, queued.ID}, 60*time.Second, false)
+	if got := status(running.ID); got != http.StatusOK {
+		t.Fatalf("/result of finished job = %d, want 200", got)
+	}
+	if _, err := d.Result(queued.ID); err == nil || errors.Is(err, ErrNotTerminal) {
+		t.Fatalf("Result(cancelled) = %v, want a terminal error", err)
+	}
+	if got := status(queued.ID); got != http.StatusGone {
+		t.Fatalf("/result of cancelled job = %d, want 410", got)
+	}
+}
+
+// TestHTTPResultNeverGoneWhileFinishing is the regression for a poller
+// racing job completion: /result used to re-read the job after Result
+// failed, so a job finishing in between was answered 410 "not terminal
+// (running)". Pollers hammer /result while jobs finish; every answer
+// must be 409 (in flight) or 200 (done), never 410.
+func TestHTTPResultNeverGoneWhileFinishing(t *testing.T) {
+	apps := simApps(32)
+	d := mustOpen(t, testConfig(t.TempDir(), 2))
+	defer d.Close()
+	h := d.Handler()
+	ids := submitAll(t, d, "acme", apps)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deadline := time.Now().Add(60 * time.Second)
+			pending := append([]string(nil), ids...)
+			for len(pending) > 0 && time.Now().Before(deadline) {
+				next := pending[:0]
+				for _, id := range pending {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id+"/result", nil))
+					switch rec.Code {
+					case http.StatusOK:
+					case http.StatusConflict:
+						next = append(next, id)
+					default:
+						errs <- fmt.Sprintf("/result of %s = %d: %s", id, rec.Code, rec.Body.String())
+						return
+					}
+				}
+				pending = next
+			}
+			if len(pending) > 0 {
+				errs <- fmt.Sprintf("%d jobs never finished", len(pending))
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

@@ -106,6 +106,9 @@ var (
 	ErrUnknownJob = errors.New("scand: unknown job")
 	// ErrJobTerminal rejects cancelling an already-terminal job.
 	ErrJobTerminal = errors.New("scand: job already terminal")
+	// ErrNotTerminal is returned (wrapped) by Result for a job that is
+	// still queued or running.
+	ErrNotTerminal = errors.New("scand: job not terminal")
 )
 
 // ShedError is a load-shed rejection: the submit was refused before any
@@ -571,6 +574,9 @@ func (d *Daemon) Jobs() []Job {
 
 // Result returns a finished job's canonical report bytes. It prefers
 // the journaled report and falls back to the content-addressed cache.
+// For a queued or running job the error wraps ErrNotTerminal; the
+// verdict comes from one snapshot of the job, so callers need no second
+// look that could race with the job finishing.
 func (d *Daemon) Result(id string) (json.RawMessage, error) {
 	d.mu.Lock()
 	job, ok := d.jobs[id]
@@ -593,7 +599,7 @@ func (d *Daemon) Result(id string) (json.RawMessage, error) {
 	case JobFailed, JobCancelled:
 		return nil, fmt.Errorf("scand: job %s %s: %s", id, state, jerr)
 	default:
-		return nil, fmt.Errorf("scand: job %s not terminal (%s)", id, state)
+		return nil, fmt.Errorf("%w: %s is %s", ErrNotTerminal, id, state)
 	}
 }
 

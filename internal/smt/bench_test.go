@@ -129,3 +129,45 @@ func BenchmarkInternConstruction(b *testing.B) {
 		}
 	})
 }
+
+// benignFormula builds one of the two benign constraint shapes the
+// detector produces most: "whitelist", the registry-screening plugins'
+// guard (a unit equality pins the extension), and "pinned-name",
+// portfolio-showcase's pinned file name (a concatenation equality
+// against a constant).
+func benignFormula(f *Factory, name string) *Term {
+	p := f.Var("s_wp_upload_path", SortString)
+	ext := f.Var("s_ext_upload", SortString)
+	suffixes := func(dst *Term) *Term {
+		return f.Or(f.SuffixOf(f.Str(".php"), dst), f.SuffixOf(f.Str(".php5"), dst))
+	}
+	if name == "whitelist" {
+		return f.And(suffixes(f.Concat(p, f.Str("/import."), ext)), f.Eq(ext, f.Str("csv")))
+	}
+	upload := f.Concat(f.Var("s_name_upload", SortString), f.Str("."), ext)
+	return f.And(
+		suffixes(f.Concat(p, f.Str("/"), f.Replace(upload, f.Str("zip"), f.Str("dat")))),
+		f.Eq(upload, f.Str("portfolio.zip")))
+}
+
+// BenchmarkSolverBenign decides the benign shapes with a fresh factory
+// per check, the scanner's per-root lifetime. models_tried is the
+// candidate assignments the bounded search spent per check; a benign
+// verdict the refuter proves spends none.
+func BenchmarkSolverBenign(b *testing.B) {
+	for _, name := range []string{"whitelist", "pinned-name"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			models := 0
+			for i := 0; i < b.N; i++ {
+				f := NewFactory()
+				status, _, st, err := NewSolverWithFactory(Options{}, f).Check(benignFormula(f, name))
+				if err != nil || status != Unsat {
+					b.Fatalf("%s: status=%v err=%v, want unsat", name, status, err)
+				}
+				models += st.Assignments
+			}
+			b.ReportMetric(float64(models)/float64(b.N), "models_tried/op")
+		})
+	}
+}

@@ -118,7 +118,7 @@ func TestSolverDifferential(t *testing.T) {
 	solver := NewSolver(Options{})
 
 	const rounds = 1000
-	sat, unsat := 0, 0
+	sat, unsat, refuted := 0, 0, 0
 	for i := 0; i < rounds; i++ {
 		f := g.boolExpr(3)
 		// Bind all three variables so every model is total.
@@ -128,6 +128,14 @@ func TestSolverDifferential(t *testing.T) {
 			Or(Eq(Var("n", SortInt), Var("n", SortInt))),
 		)
 		bfSat, bfModel := bruteForce(t, f)
+		// Refuter soundness: a cube the refuter rejects must have no model
+		// in the pool either.
+		for _, conj := range refutedCubes(solver, f) {
+			refuted++
+			if ok, m := bruteForce(t, conj); ok {
+				t.Fatalf("round %d: refuter rejected cube %s, but %v satisfies it", i, conj, m)
+			}
+		}
 		status, model, _, err := solver.Check(f)
 		if err != nil {
 			// Budget exhaustion is allowed but must not contradict.
@@ -161,9 +169,32 @@ func TestSolverDifferential(t *testing.T) {
 			t.Errorf("round %d: brute force sat (%v) but solver %v on %s", i, bfModel, status, f)
 		}
 	}
-	if sat == 0 || unsat == 0 {
-		t.Errorf("degenerate distribution: sat=%d unsat=%d of %d", sat, unsat, rounds)
+	t.Logf("sat=%d unsat=%d refuted cubes=%d of %d rounds", sat, unsat, refuted, rounds)
+	if sat == 0 || unsat == 0 || refuted == 0 {
+		t.Errorf("degenerate distribution: sat=%d unsat=%d refuted cubes=%d of %d", sat, unsat, refuted, rounds)
 	}
+}
+
+// refutedCubes returns the simplified cubes of f, as CheckCtx derives
+// them, that the refuter rejects.
+func refutedCubes(s *Solver, f *Term) []*Term {
+	g := Simplify(f)
+	if g.Op == OpBoolConst {
+		return nil
+	}
+	cubes, ok := dnf(nnf(g, false), s.opts.MaxCubes)
+	if !ok {
+		return nil
+	}
+	var out []*Term
+	for _, cube := range cubes {
+		conj := Simplify(And(cube...))
+		var st Stats
+		if conj.Op != OpBoolConst && s.refute(conj, &st) {
+			out = append(out, conj)
+		}
+	}
+	return out
 }
 
 // TestSolverDifferentialUnsatAgree: formulas that are unsatisfiable over

@@ -17,10 +17,17 @@ const (
 	Unknown Status = iota
 	// Sat means a model was found and verified by evaluation.
 	Sat
-	// Unsat means the formula was refuted: either the simplifier reduced it
-	// to false, or the bounded candidate space for every DNF cube was
-	// exhausted. The latter is complete only for the candidate space
-	// documented in candidates.go (see package comment).
+	// Unsat means no model exists within what the solver decides. It comes
+	// in two kinds, told apart by Stats.Searched:
+	//
+	//   - proved (Searched == 0): the simplifier reduced the formula, or
+	//     every DNF cube, to false, or the refuter (refute.go) proved each
+	//     remaining cube unsatisfiable. This holds over all strings and
+	//     integers.
+	//   - exhausted (Searched > 0): at least one cube was handed to the
+	//     bounded model search and its candidate space ran out. That is
+	//     complete only for the candidate space documented in
+	//     candidates.go (see package comment).
 	Unsat
 )
 
@@ -50,8 +57,16 @@ type Stats struct {
 	// would-be model is re-checked against the original formula.
 	VerifyEvals int
 	// Rewrites counts simplifier passes that changed the term (across
-	// the top-level simplification and every per-cube simplification).
+	// the top-level simplification and every per-cube simplification,
+	// the refuter's included).
 	Rewrites int
+	// Refuted counts cubes the refuter proved unsatisfiable before any
+	// search.
+	Refuted int
+	// Searched counts cubes decided by model search rather than by
+	// simplification or refutation. An Unsat with Searched == 0 is
+	// proved; otherwise it only exhausted the candidate space.
+	Searched int
 }
 
 // Accum adds b's work counters into a. Simplified is overwritten (it is a
@@ -63,6 +78,8 @@ func (a *Stats) Accum(b Stats) {
 	a.Candidates += b.Candidates
 	a.VerifyEvals += b.VerifyEvals
 	a.Rewrites += b.Rewrites
+	a.Refuted += b.Refuted
+	a.Searched += b.Searched
 }
 
 // Options configures a Solver. The zero value selects defaults suitable for
@@ -202,6 +219,7 @@ func (s *Solver) CheckCtx(ctx context.Context, f *Term) (Status, Model, Stats, e
 				for _, v := range s.f.Vars(f) {
 					m[v.S] = defaultValue(v.Sort())
 				}
+				st.Searched++
 				st.VerifyEvals++
 				if s.verify(f, m) {
 					return Sat, m, st, nil
@@ -210,10 +228,15 @@ func (s *Solver) CheckCtx(ctx context.Context, f *Term) (Status, Model, Stats, e
 			}
 			continue // cube is false
 		}
+		if s.refute(conj, &st) {
+			st.Refuted++
+			continue
+		}
 		if budget <= 0 {
 			exhausted = false
 			break
 		}
+		st.Searched++
 		model, tried := s.search(ctx, conj, f, budget, opts, &st)
 		budget -= tried
 		st.Assignments += tried

@@ -9,13 +9,18 @@
 //
 // Decision procedure (see Solver): a rewriting simplifier performs constant
 // folding and structural reasoning (concat flattening, suffix decomposition,
-// length arithmetic); the remainder is converted to DNF and each cube is
-// checked by a literal-seeded bounded model search whose witnesses are
-// verified by evaluation, so Sat answers are always sound. Unsat answers
-// are bounded-complete: complete for the finite candidate space documented
-// in candidates.go, which covers the constraint shapes the detector
-// generates. An SMT-LIB2 serializer (ToSMTLIB2) keeps compatibility with
-// external solvers for cross-checking.
+// length arithmetic); the remainder is converted to DNF. Each cube is first
+// handed to a refuter (refute.go) that substitutes unit equalities and
+// case-splits concatenation equalities against constants; a cube it proves
+// unsatisfiable is never searched. Every other cube is checked by a
+// literal-seeded bounded model search whose witnesses are verified by
+// evaluation, so Sat answers are always sound. Unsat answers therefore come
+// in two kinds: proved, when simplification and refutation disposed of
+// every cube, which holds over all strings and integers; and exhausted,
+// when some cube's search ran out of candidates, which is complete only for
+// the finite candidate space documented in candidates.go. Stats.Searched
+// tells them apart. An SMT-LIB2 serializer (ToSMTLIB2) keeps compatibility
+// with external solvers for cross-checking.
 package smt
 
 import (

@@ -859,6 +859,16 @@ func (s *Scanner) verifySinks(parent, vctx context.Context, ar *rootResult, root
 		ar.metrics.Add("smt_candidates_seeded", int64(sstats.Candidates))
 		ar.metrics.Add("smt_verify_reevals", int64(sstats.VerifyEvals))
 		ar.metrics.Add("smt_simplifier_rewrites", int64(sstats.Rewrites))
+		ar.metrics.Add("smt_cubes_refuted", int64(sstats.Refuted))
+		if status == smt.Unsat {
+			// Proved: simplification or refutation disposed of every cube.
+			// Exhausted: some cube's bounded search ran out of candidates.
+			if sstats.Searched == 0 {
+				ar.metrics.Add("smt_unsat_proved", 1)
+			} else {
+				ar.metrics.Add("smt_unsat_exhausted", 1)
+			}
+		}
 		if status != smt.Sat {
 			if errors.Is(cerr, smt.ErrBudget) && !solverBudgetNoted {
 				solverBudgetNoted = true
