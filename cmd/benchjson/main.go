@@ -101,23 +101,32 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// procsSuffix is the "-<GOMAXPROCS>" go test appends to benchmark names
+// when GOMAXPROCS is not 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// benchKey is a benchmark's name without its GOMAXPROCS suffix, so runs
+// recorded on machines with different processor counts still pair up.
+func benchKey(name string) string { return procsSuffix.ReplaceAllString(name, "") }
+
 // diff compares every baseline benchmark whose name matches re against
 // the fresh run, writes a per-metric report to w, and returns the number
-// of gated metrics that regressed by more than maxRegress percent. A
+// of gated metrics that regressed by more than maxRegress percent.
+// Benchmarks are paired by name with any GOMAXPROCS suffix stripped. A
 // matching baseline benchmark missing from the fresh run counts as a
 // regression: the gate must not silently pass because a bench was
 // renamed or dropped.
 func diff(base, fresh *doc, re *regexp.Regexp, maxRegress float64, w io.Writer) int {
 	byName := make(map[string]result, len(fresh.Results))
 	for _, r := range fresh.Results {
-		byName[r.Name] = r
+		byName[benchKey(r.Name)] = r
 	}
 	regressions := 0
 	for _, b := range base.Results {
 		if !re.MatchString(b.Name) {
 			continue
 		}
-		f, ok := byName[b.Name]
+		f, ok := byName[benchKey(b.Name)]
 		if !ok {
 			fmt.Fprintf(w, "FAIL %s: present in baseline, missing from fresh run\n", b.Name)
 			regressions++

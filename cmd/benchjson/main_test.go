@@ -98,3 +98,19 @@ func TestDiffMatchFilter(t *testing.T) {
 		t.Fatalf("-match did not exclude non-engine regression")
 	}
 }
+
+func TestDiffIgnoresProcsSuffix(t *testing.T) {
+	base := mkDoc(res("BenchmarkEngineCompile", 100, 1000), res("BenchmarkEngineSymbolicExecution/vm", 100, 1000))
+	fresh := mkDoc(res("BenchmarkEngineCompile-2", 100, 1000), res("BenchmarkEngineSymbolicExecution/vm-2", 130, 1000))
+	var sb strings.Builder
+	if n := diff(base, fresh, regexp.MustCompile("^BenchmarkEngine"), 15, &sb); n != 1 {
+		t.Fatalf("got %d regressions, want 1 (vm ns/op +30%%, names paired across the -2 suffix):\n%s", n, sb.String())
+	}
+	if strings.Contains(sb.String(), "missing") {
+		t.Fatalf("suffix-only difference reported as a missing benchmark:\n%s", sb.String())
+	}
+	// The reverse: a suffixed baseline against a GOMAXPROCS=1 run.
+	if n := diff(fresh, base, regexp.MustCompile(""), 15, &strings.Builder{}); n != 0 {
+		t.Fatalf("suffixed baseline vs unsuffixed run: %d regressions, want 0", n)
+	}
+}

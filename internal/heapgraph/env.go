@@ -1,47 +1,181 @@
 package heapgraph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sexpr"
 )
 
+// maxLayers bounds the chain of shared layers under a frame. When
+// sealing a frame's private writes would make the chain longer, the chain
+// is flattened into a single layer instead, so a lookup probes at most
+// maxLayers+1 maps and the flattening cost is spread over maxLayers forks.
+const maxLayers = 8
+
+// tombstone is stored in place of a label to record that a name inherited
+// from a shared layer was unset on this path. Labels are never negative.
+const tombstone Label = -1
+
+// layer is an immutable set of bindings shared by every Env forked after
+// it was sealed. parent is the older layer it shadows; depth counts the
+// layers in the chain ending here.
+type layer struct {
+	vars   map[string]Label
+	parent *layer
+	depth  int
+}
+
+// lookup resolves a name through the chain, newest layer first.
+func (ly *layer) lookup(name string) (Label, bool) {
+	for ; ly != nil; ly = ly.parent {
+		if l, ok := ly.vars[name]; ok {
+			return visible(l)
+		}
+	}
+	return Null, false
+}
+
+// visible maps a stored label to a lookup result, hiding tombstones.
+func visible(l Label) (Label, bool) {
+	if l == tombstone {
+		return Null, false
+	}
+	return l, true
+}
+
+func (ly *layer) chainDepth() int {
+	if ly == nil {
+		return 0
+	}
+	return ly.depth
+}
+
 // frame is one variable scope. The bottom frame is the file-level (global)
 // scope; each inlined function call pushes a frame.
 //
-// Frames are copy-on-write: Clone marks both the original's and the
-// clone's frames shared without copying the maps, and every mutator
-// materializes a private copy (via Env.own) only when it actually writes
-// to a shared frame. Forking a path is therefore O(scope depth) instead
-// of O(total bindings) — the persistent shared-tail representation that
-// makes deep symbolic forks cheap.
+// A frame's bindings are a small private map of the writes made since the
+// path last forked, over a chain of immutable layers shared with the
+// paths it forked from or into. Clone seals the private writes into a new
+// layer that both sides reference; later writes on either side go to a
+// fresh private map, and unsetting an inherited name writes a tombstone.
+// Forking and the first write after it therefore cost O(scope depth),
+// independent of how many variables are bound.
 type frame struct {
-	vars map[string]Label
+	priv map[string]Label
+	base *layer
 	// globalImports records names aliased into this frame via PHP's
 	// `global` statement; their final values are written back to the
-	// global frame when the scope pops.
+	// global frame when the scope pops. The map may be shared with a
+	// clone and is replaced, never mutated.
 	globalImports map[string]bool
-	// shared marks the maps as referenced by more than one Env; they must
-	// be copied before mutation.
+	// shared reports that the frame has not been written since the last
+	// Clone (SharedFrames counts these).
 	shared bool
 }
 
-func newFrame() frame {
-	return frame{vars: map[string]Label{}}
+func (f *frame) lookup(name string) (Label, bool) {
+	if l, ok := f.priv[name]; ok {
+		return visible(l)
+	}
+	return f.base.lookup(name)
 }
 
-func (f frame) clone() frame {
-	n := frame{vars: make(map[string]Label, len(f.vars))}
-	for k, v := range f.vars {
-		n.vars[k] = v
+func (f *frame) set(name string, l Label) {
+	if f.priv == nil {
+		f.priv = make(map[string]Label, 1)
 	}
-	if f.globalImports != nil {
-		n.globalImports = make(map[string]bool, len(f.globalImports))
-		for k := range f.globalImports {
-			n.globalImports[k] = true
+	f.priv[name] = l
+}
+
+func (f *frame) unset(name string) {
+	if _, inherited := f.base.lookup(name); inherited {
+		f.set(name, tombstone)
+	} else {
+		delete(f.priv, name)
+	}
+}
+
+// seal moves the private writes into a new shared layer, flattening the
+// chain once it would exceed maxLayers. Afterwards the frame has no
+// private map, so neither side of a fork can write into the other's.
+func (f *frame) seal() {
+	f.shared = true
+	if len(f.priv) == 0 {
+		f.priv = nil
+		return
+	}
+	if f.base.chainDepth() < maxLayers {
+		f.base = &layer{vars: f.priv, parent: f.base, depth: f.base.chainDepth() + 1}
+	} else {
+		f.base = &layer{vars: f.bindings(), depth: 1}
+	}
+	f.priv = nil
+}
+
+// bindings returns a new map of the frame's visible bindings.
+func (f *frame) bindings() map[string]Label {
+	var chain []*layer
+	for ly := f.base; ly != nil; ly = ly.parent {
+		chain = append(chain, ly)
+	}
+	out := make(map[string]Label, len(f.priv))
+	put := func(vars map[string]Label) {
+		for name, l := range vars {
+			if l == tombstone {
+				delete(out, name)
+			} else {
+				out[name] = l
+			}
 		}
 	}
-	return n
+	for i := len(chain) - 1; i >= 0; i-- {
+		put(chain[i].vars)
+	}
+	put(f.priv)
+	return out
+}
+
+// sameBindings reports whether two frames bind the same names to the same
+// labels, ignoring the names for which skip returns true. Only names held
+// above the frames' common layer are examined: a name held nowhere else
+// resolves through that shared layer on both sides.
+func sameBindings(a, b *frame, skip func(string) bool) bool {
+	common := commonLayer(a.base, b.base)
+	same := func(name string) bool {
+		if skip(name) {
+			return true
+		}
+		al, aok := a.lookup(name)
+		bl, bok := b.lookup(name)
+		return aok == bok && al == bl
+	}
+	for _, f := range [2]*frame{a, b} {
+		for name := range f.priv {
+			if !same(name) {
+				return false
+			}
+		}
+		for ly := f.base; ly != common; ly = ly.parent {
+			for name := range ly.vars {
+				if !same(name) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// commonLayer returns the newest layer both chains contain, or nil.
+func commonLayer(a, b *layer) *layer {
+	for a != b {
+		if a.chainDepth() >= b.chainDepth() {
+			a = a.parent
+		} else {
+			b = b.parent
+		}
+	}
+	return a
 }
 
 // Env is the environment of one execution path (the paper's
@@ -76,18 +210,16 @@ type Env struct {
 // NewEnv returns an environment with a single (global) scope, no bindings,
 // and an empty reachability constraint.
 func NewEnv() *Env {
-	return &Env{frames: []frame{newFrame()}}
+	return &Env{frames: []frame{{}}}
 }
 
 func (e *Env) top() *frame { return &e.frames[len(e.frames)-1] }
 
-// own returns frame i ready for mutation, materializing a private copy of
-// its maps first if they are shared with another Env (copy-on-write).
+// own returns frame i ready for mutation: it is no longer counted as
+// shared by SharedFrames.
 func (e *Env) own(i int) *frame {
 	f := &e.frames[i]
-	if f.shared {
-		*f = f.clone()
-	}
+	f.shared = false
 	return f
 }
 
@@ -102,34 +234,38 @@ func (e *Env) Suspended() bool {
 
 // Get returns the label bound to the variable in the current scope, or
 // Null (the paper's Get_Map).
-func (e *Env) Get(name string) Label { return e.top().vars[name] }
+func (e *Env) Get(name string) Label {
+	l, _ := e.top().lookup(name)
+	return l
+}
 
 // Has reports whether the variable is bound in the current scope.
 func (e *Env) Has(name string) bool {
-	_, ok := e.top().vars[name]
+	_, ok := e.top().lookup(name)
 	return ok
 }
 
 // Bind associates a variable with an object label in the current scope
 // (the paper's Add_Var + Add_Map).
-func (e *Env) Bind(name string, l Label) { e.ownTop().vars[name] = l }
+func (e *Env) Bind(name string, l Label) { e.ownTop().set(name, l) }
 
 // Unbind removes a variable binding (PHP unset()).
-func (e *Env) Unbind(name string) { delete(e.ownTop().vars, name) }
+func (e *Env) Unbind(name string) { e.ownTop().unset(name) }
 
 // VarNames returns the bound variable names of the current scope, sorted.
 func (e *Env) VarNames() []string {
-	out := make([]string, 0, len(e.top().vars))
-	for v := range e.top().vars {
+	vars := e.top().bindings()
+	out := make([]string, 0, len(vars))
+	for v := range vars {
 		out = append(out, v)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
 // PushScope enters a fresh variable scope for an inlined function call.
 func (e *Env) PushScope() {
-	e.frames = append(e.frames, newFrame())
+	e.frames = append(e.frames, frame{})
 }
 
 // PopScope leaves the current scope, writing back variables imported with
@@ -139,11 +275,12 @@ func (e *Env) PopScope() {
 	if len(e.frames) > 1 && top.globalImports != nil {
 		g := e.own(0)
 		for name := range top.globalImports {
-			if l, ok := top.vars[name]; ok {
-				g.vars[name] = l
+			if l, ok := top.lookup(name); ok {
+				g.set(name, l)
 			}
 		}
 	}
+	e.frames[len(e.frames)-1] = frame{} // release the popped frame's layers
 	e.frames = e.frames[:len(e.frames)-1]
 	e.Returned = Null
 	e.Terminated = false
@@ -156,18 +293,21 @@ func (e *Env) Depth() int { return len(e.frames) }
 // global frame's binding (created as fresh if absent via mk), and writes it
 // back on PopScope.
 func (e *Env) ImportGlobal(name string, mk func() Label) {
-	g := &e.frames[0]
-	l, ok := g.vars[name]
+	l, ok := e.frames[0].lookup(name)
 	if !ok {
 		l = mk()
-		e.own(0).vars[name] = l
+		e.own(0).set(name, l)
 	}
 	top := e.ownTop()
-	top.vars[name] = l
-	if top.globalImports == nil {
-		top.globalImports = map[string]bool{}
+	top.set(name, l)
+	if !top.globalImports[name] {
+		imports := make(map[string]bool, len(top.globalImports)+1)
+		for k := range top.globalImports {
+			imports[k] = true
+		}
+		imports[name] = true
+		top.globalImports = imports
 	}
-	top.globalImports[name] = true
 }
 
 // Clone forks the environment. Cloning is how the interpreter forks paths
@@ -175,11 +315,11 @@ func (e *Env) ImportGlobal(name string, mk func() Label) {
 // the memory-sharing design the paper credits for the small per-path
 // object counts.
 //
-// Scope frames are shared copy-on-write: both sides keep referencing the
-// same variable maps, marked shared, and whichever path writes first pays
-// for the copy of just the frame it writes to. The path condition (Cur)
-// is a heap-graph label, so the condition prefix is a shared tail by
-// construction. Forking is therefore O(scope depth), not O(bindings).
+// Each scope frame's private writes are sealed into an immutable layer
+// that both sides then share, and both sides start new private maps on
+// their next write. The path condition (Cur) is a heap-graph label, so the
+// condition prefix is a shared tail by construction. Forking, and the
+// first write after it, is therefore O(scope depth), not O(bindings).
 func (e *Env) Clone() *Env {
 	n := &Env{
 		frames:     make([]frame, len(e.frames)),
@@ -190,7 +330,7 @@ func (e *Env) Clone() *Env {
 		ContinueN:  e.ContinueN,
 	}
 	for i := range e.frames {
-		e.frames[i].shared = true
+		e.frames[i].seal()
 		n.frames[i] = e.frames[i]
 	}
 	if len(e.Tmp) > 0 {
@@ -199,10 +339,10 @@ func (e *Env) Clone() *Env {
 	return n
 }
 
-// SharedFrames returns the number of scope frames currently borrowed
-// copy-on-write (shared with at least one other Env at the time of the
-// last fork). The interpreter samples it at fork sites to report how much
-// structure forking shared instead of copied.
+// SharedFrames returns the number of scope frames not written since the
+// last fork, whose bindings therefore all live in layers shared with at
+// least one other Env. The interpreter samples it at fork sites to report
+// how much structure forking shared instead of copied.
 func (e *Env) SharedFrames() int {
 	n := 0
 	for i := range e.frames {
@@ -268,23 +408,7 @@ func (e *Env) EquivalentModulo(o *Env, ignore map[string]bool) bool {
 	for i := range e.frames {
 		ef, of := &e.frames[i], &o.frames[i]
 		skip := func(name string) bool { return i == top && ignore[name] }
-		n := 0
-		for name, l := range ef.vars {
-			if skip(name) {
-				continue
-			}
-			n++
-			if ol, ok := of.vars[name]; !ok || ol != l {
-				return false
-			}
-		}
-		m := 0
-		for name := range of.vars {
-			if !skip(name) {
-				m++
-			}
-		}
-		if n != m {
+		if !sameBindings(ef, of, skip) {
 			return false
 		}
 		if len(ef.globalImports) != len(of.globalImports) {

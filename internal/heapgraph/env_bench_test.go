@@ -7,9 +7,9 @@ import (
 	"repro/internal/sexpr"
 )
 
-// deepCloneEnv reproduces the pre-COW Clone: every frame's maps are
-// copied eagerly. Kept here as the benchmark baseline the persistent
-// shared-tail representation is measured against.
+// deepCloneEnv is the eager clone that layered frames replaced: every
+// frame's bindings are copied into a fresh private map. Kept here as the
+// benchmark baseline.
 func deepCloneEnv(e *Env) *Env {
 	n := &Env{
 		frames:     make([]frame, len(e.frames)),
@@ -20,7 +20,7 @@ func deepCloneEnv(e *Env) *Env {
 		ContinueN:  e.ContinueN,
 	}
 	for i := range e.frames {
-		n.frames[i] = e.frames[i].clone()
+		n.frames[i] = frame{priv: e.frames[i].bindings(), globalImports: e.frames[i].globalImports}
 	}
 	if len(e.Tmp) > 0 {
 		n.Tmp = append([]Label(nil), e.Tmp...)
@@ -43,35 +43,44 @@ func benchEnv(g *Graph, depth, bindings int) *Env {
 	return e
 }
 
-// BenchmarkPathForkDeep measures one symbolic fork (clone + one write on
-// the forked path, the interpreter's pattern at every conditional) on a
-// deep, well-populated environment. "deepcopy" is the old eager clone;
-// "cow" the persistent shared-tail clone.
+// BenchmarkPathForkDeep measures symbolic forks: a clone plus one write on
+// the forked path, the interpreter's pattern at every conditional.
+// "deepcopy" is the eager whole-frame copy; "layered" the shared-layer
+// clone. The d*_b* shapes fork a deep, well-populated scope stack once per
+// op. The wide shape is a large file-level script: one frame of 96
+// bindings forked 15 times in a row, each fork followed by one write, so
+// the layer chain grows and is compacted inside every op.
 func BenchmarkPathForkDeep(b *testing.B) {
-	for _, shape := range []struct{ depth, bindings int }{
-		{4, 16},
-		{16, 32},
-		{32, 64},
+	for _, shape := range []struct {
+		name                   string
+		depth, bindings, forks int
+	}{
+		{"d4_b16", 4, 16, 1},
+		{"d16_b32", 16, 32, 1},
+		{"d32_b64", 32, 64, 1},
+		{"wide_b96_f15", 1, 96, 15},
 	} {
-		name := fmt.Sprintf("d%d_b%d", shape.depth, shape.bindings)
 		g := New()
 		l := g.NewConcrete(sexpr.IntVal(42), 1)
-
-		b.Run("deepcopy/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			e := benchEnv(g, shape.depth, shape.bindings)
-			for i := 0; i < b.N; i++ {
-				c := deepCloneEnv(e)
-				c.Bind("forked", l)
-			}
-		})
-		b.Run("cow/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			e := benchEnv(g, shape.depth, shape.bindings)
-			for i := 0; i < b.N; i++ {
-				c := e.Clone()
-				c.Bind("forked", l)
-			}
-		})
+		for _, impl := range []struct {
+			name  string
+			clone func(*Env) *Env
+		}{
+			{"deepcopy", deepCloneEnv},
+			{"layered", (*Env).Clone},
+		} {
+			b.Run(impl.name+"/"+shape.name, func(b *testing.B) {
+				b.ReportAllocs()
+				e := benchEnv(g, shape.depth, shape.bindings)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c := e
+					for f := 0; f < shape.forks; f++ {
+						c = impl.clone(c)
+						c.Bind("forked", l)
+					}
+				}
+			})
+		}
 	}
 }

@@ -10,10 +10,18 @@
 // Because environments share object labels, objects created once are
 // reused across many paths — this sharing is what keeps Table III's
 // "objects per path" averages small.
+//
+// Both structures are built for cheap growth and cheap forks. Labels are
+// dense and sequential, so the graph stores its nodes in fixed-size
+// chunks addressed by label, with no hashing. An environment's scope
+// frames keep only the writes since the path last forked in a private
+// map, over immutable layers shared with the paths it forked from, so
+// forking a path costs O(scope depth) however many variables are bound.
 package heapgraph
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/sexpr"
@@ -106,24 +114,30 @@ type Recorder interface {
 	RecArrayRead(arr Label, ver uint64)
 }
 
-// Graph is the heap graph.
+// chunkBits sets the heap graph's allocation unit: nodes are stored in
+// fixed chunks of 1<<chunkBits, so growing the graph never moves a node
+// and Find's pointers stay valid.
+const chunkBits = 8
+
+// node is the storage of one label: its object, its ordered operand
+// edges, and its element table if it is an array.
+type node struct {
+	obj   Object
+	edges []Label
+	arr   *ArrayInfo
+}
+
+// Graph is the heap graph. Labels are dense and sequential from 1, so the
+// nodes are addressed by label arithmetic rather than hashed.
 type Graph struct {
-	objs   map[Label]*Object
-	edges  map[Label][]Label
-	arrays map[Label]*ArrayInfo
+	chunks [][]node
 	next   Label
 	symSeq int
 	rec    Recorder
 }
 
 // New returns an empty heap graph.
-func New() *Graph {
-	return &Graph{
-		objs:   map[Label]*Object{},
-		edges:  map[Label][]Label{},
-		arrays: map[Label]*ArrayInfo{},
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // SetRecorder installs (or, with nil, removes) the mutation recorder.
 func (g *Graph) SetRecorder(r Recorder) { g.rec = r }
@@ -132,25 +146,44 @@ func (g *Graph) SetRecorder(r Recorder) { g.rec = r }
 // graph). The next allocation returns LastLabel()+1.
 func (g *Graph) LastLabel() Label { return g.next }
 
+// node returns the storage of label l, or nil for Null and for labels not
+// yet allocated.
+func (g *Graph) node(l Label) *node {
+	if l <= Null || l > g.next {
+		return nil
+	}
+	i := int(l - 1)
+	return &g.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
+}
+
 // Find returns the object with the given label, or nil (the paper's
 // Find(G, l)).
-func (g *Graph) Find(l Label) *Object { return g.objs[l] }
+func (g *Graph) Find(l Label) *Object {
+	if n := g.node(l); n != nil {
+		return &n.obj
+	}
+	return nil
+}
 
 // NumObjects returns the number of objects in the graph (Table III's
 // "Objects" column).
-func (g *Graph) NumObjects() int { return len(g.objs) }
+func (g *Graph) NumObjects() int { return int(g.next) }
 
-func (g *Graph) add(o *Object) Label {
+// add stores o under the next label and returns the label.
+func (g *Graph) add(o Object) Label {
+	if int(g.next)>>chunkBits == len(g.chunks) {
+		g.chunks = append(g.chunks, make([]node, 1<<chunkBits))
+	}
 	g.next++
 	o.Label = g.next
-	g.objs[o.Label] = o
-	return o.Label
+	g.node(g.next).obj = o
+	return g.next
 }
 
 // NewConcrete creates and adds an object for a concrete value (the paper's
 // Create_Concrete_Obj + Add_Concrete_Obj). The value's own type is used.
 func (g *Graph) NewConcrete(v sexpr.Expr, line int) Label {
-	l := g.add(&Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
+	l := g.add(Object{Kind: KindConcrete, Type: v.Kind(), Val: v, Line: line})
 	if g.rec != nil {
 		g.rec.RecAlloc(KindConcrete, "", v.Kind(), v, line, l)
 	}
@@ -165,7 +198,7 @@ func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
 		g.symSeq++
 		name = "s_" + strconv.Itoa(g.symSeq)
 	}
-	l := g.add(&Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
+	l := g.add(Object{Kind: KindSymbol, Type: t, Name: name, Line: line})
 	if g.rec != nil {
 		// Record the pre-generation name so a replay re-consumes symSeq
 		// exactly as a real re-execution would.
@@ -177,7 +210,7 @@ func (g *Graph) NewSymbol(name string, t sexpr.Type, line int) Label {
 // NewFunc creates an object for a built-in function invocation whose result
 // type is t.
 func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
-	l := g.add(&Object{Kind: KindFunc, Type: t, Name: name, Line: line})
+	l := g.add(Object{Kind: KindFunc, Type: t, Name: name, Line: line})
 	if g.rec != nil {
 		g.rec.RecAlloc(KindFunc, name, t, nil, line, l)
 	}
@@ -186,7 +219,7 @@ func (g *Graph) NewFunc(name string, t sexpr.Type, line int) Label {
 
 // NewOp creates an operation object (the paper's Create_OP_Obj).
 func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
-	l := g.add(&Object{Kind: KindOp, Type: t, Name: op, Line: line})
+	l := g.add(Object{Kind: KindOp, Type: t, Name: op, Line: line})
 	if g.rec != nil {
 		g.rec.RecAlloc(KindOp, op, t, nil, line, l)
 	}
@@ -195,17 +228,25 @@ func (g *Graph) NewOp(op string, t sexpr.Type, line int) Label {
 
 // NewArray creates an empty array object.
 func (g *Graph) NewArray(line int) Label {
-	l := g.add(&Object{Kind: KindArray, Type: sexpr.Array, Line: line})
-	g.arrays[l] = &ArrayInfo{Elems: map[string]Label{}}
+	l := g.add(Object{Kind: KindArray, Type: sexpr.Array, Line: line})
+	g.node(l).arr = &ArrayInfo{Elems: map[string]Label{}}
 	if g.rec != nil {
 		g.rec.RecAlloc(KindArray, "", sexpr.Array, nil, line, l)
 	}
 	return l
 }
 
+// array returns the element table of l without recording the read.
+func (g *Graph) array(l Label) *ArrayInfo {
+	if n := g.node(l); n != nil {
+		return n.arr
+	}
+	return nil
+}
+
 // Array returns the element table of an array object, or nil.
 func (g *Graph) Array(l Label) *ArrayInfo {
-	info := g.arrays[l]
+	info := g.array(l)
 	if g.rec != nil && info != nil {
 		g.rec.RecArrayRead(l, info.Ver)
 	}
@@ -214,7 +255,7 @@ func (g *Graph) Array(l Label) *ArrayInfo {
 
 // SetElem sets the element for a string key on an array object.
 func (g *Graph) SetElem(arr Label, key string, val Label) {
-	info := g.arrays[arr]
+	info := g.array(arr)
 	if info == nil {
 		return
 	}
@@ -235,7 +276,7 @@ func (g *Graph) SetElem(arr Label, key string, val Label) {
 // PushElem appends a value with the next automatic integer key, returning
 // the key used.
 func (g *Graph) PushElem(arr Label, val Label) string {
-	info := g.arrays[arr]
+	info := g.array(arr)
 	if info == nil {
 		return ""
 	}
@@ -246,7 +287,7 @@ func (g *Graph) PushElem(arr Label, val Label) string {
 
 // Elem looks up a string key on an array object.
 func (g *Graph) Elem(arr Label, key string) (Label, bool) {
-	info := g.arrays[arr]
+	info := g.array(arr)
 	if info == nil {
 		return Null, false
 	}
@@ -261,14 +302,20 @@ func (g *Graph) Elem(arr Label, key string) (Label, bool) {
 // object to an operand (the paper's Add_Edge; order distinguishes left and
 // right operands).
 func (g *Graph) AddEdge(from, to Label) {
-	g.edges[from] = append(g.edges[from], to)
+	n := g.node(from)
+	n.edges = append(n.edges, to)
 	if g.rec != nil {
 		g.rec.RecEdge(from, to)
 	}
 }
 
 // Edges returns the ordered operand labels of an object.
-func (g *Graph) Edges(l Label) []Label { return g.edges[l] }
+func (g *Graph) Edges(l Label) []Label {
+	if n := g.node(l); n != nil {
+		return n.edges
+	}
+	return nil
+}
 
 // ToSexpr renders the value rooted at l as a PHP-semantics s-expression by
 // traversing the heap graph (the paper's Section III-B1 observation that
@@ -280,7 +327,7 @@ func (g *Graph) ToSexpr(l Label) sexpr.Expr {
 }
 
 func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
-	o := g.objs[l]
+	o := g.Find(l)
 	if o == nil {
 		return sexpr.NullVal{}
 	}
@@ -296,7 +343,7 @@ func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
 		// Arrays appearing as values are rendered as (array k1 v1 k2 v2 ...).
 		visiting[l] = true
 		defer delete(visiting, l)
-		info := g.arrays[l]
+		info := g.array(l)
 		app := &sexpr.App{Op: "array", Type: sexpr.Array}
 		for _, k := range info.Keys {
 			app.Args = append(app.Args, sexpr.StrVal(k), g.toSexpr(info.Elems[k], visiting))
@@ -306,7 +353,7 @@ func (g *Graph) toSexpr(l Label, visiting map[Label]bool) sexpr.Expr {
 		visiting[l] = true
 		defer delete(visiting, l)
 		app := &sexpr.App{Op: o.Name, Type: o.Type}
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			app.Args = append(app.Args, g.toSexpr(e, visiting))
 		}
 		return app
@@ -331,12 +378,12 @@ func (g *Graph) Reaches(src, target Label) bool {
 			return false
 		}
 		seen[l] = true
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			if dfs(e) {
 				return true
 			}
 		}
-		if info := g.arrays[l]; info != nil {
+		if info := g.array(l); info != nil {
 			for _, v := range info.Elems {
 				if dfs(v) {
 					return true
@@ -359,16 +406,16 @@ func (g *Graph) ReachesName(src Label, name string) bool {
 			return false
 		}
 		seen[l] = true
-		o := g.objs[l]
+		o := g.Find(l)
 		if o != nil && o.Name == name {
 			return true
 		}
-		for _, e := range g.edges[l] {
+		for _, e := range g.Edges(l) {
 			if dfs(e) {
 				return true
 			}
 		}
-		if info := g.arrays[l]; info != nil {
+		if info := g.array(l); info != nil {
 			for _, v := range info.Elems {
 				if dfs(v) {
 					return true
@@ -392,17 +439,17 @@ func (g *Graph) Lines(l Label) []int {
 			return
 		}
 		seen[x] = true
-		o := g.objs[x]
+		o := g.Find(x)
 		if o == nil {
 			return
 		}
 		if o.Line > 0 {
 			lineSet[o.Line] = true
 		}
-		for _, e := range g.edges[x] {
+		for _, e := range g.Edges(x) {
 			dfs(e)
 		}
-		if info := g.arrays[x]; info != nil {
+		if info := g.array(x); info != nil {
 			for _, v := range info.Elems {
 				dfs(v)
 			}
@@ -413,14 +460,6 @@ func (g *Graph) Lines(l Label) []int {
 	for ln := range lineSet {
 		out = append(out, ln)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
