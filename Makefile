@@ -100,7 +100,7 @@ engine-diff:
 # version-skew cycle, the daemon's cross-job summary reuse, and the
 # unit-level merge/summary suites.
 summary-diff:
-	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestSummaryEngineDifferential|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryArtifactCache' ./internal/uchecker
+	$(GO) test -race -run 'TestSummaryDifferentialCorpus|TestCimySummaryCompletes|TestSummaryEngineDifferential|TestInterprocFingerprintToken|TestInlineReportHasNoSummaryCounters|TestSummaryArtifactCache|TestSummaryComputedMatchesBuild' ./internal/uchecker
 	$(GO) test -race -run 'TestMerge|TestNoMerge|TestTrivial|TestEscapedCallee|TestMethodCallNeverSummarized|TestSummary' ./internal/interp
 	$(GO) test -race ./internal/summary
 	$(GO) test -race -run 'TestHTTPMetricsExposeSummaryCounters' ./internal/scand
@@ -125,18 +125,20 @@ bench-smt:
 # Execution-engine benchmarks: bytecode compilation, the tree-vs-VM
 # symbolic-execution pair, compile-once amortization across a 32-root
 # app, and the full-corpus sweep — archived as JSON for cross-commit
-# comparison.
+# comparison. Each benchmark runs five times; the regression gate below
+# compares medians.
 bench-interp:
-	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
+	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -count 5 -benchmem . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_interp.json
 	@echo "wrote BENCH_interp.json"
 
-# Engine-benchmark regression gate: re-runs bench-interp's suite and
-# fails when ns/op or allocs/op regresses more than 15% against the
-# committed BENCH_interp.json. The fresh run lands in
+# Engine-benchmark regression gate: re-runs bench-interp's suite five
+# times and fails when the median ns/op or allocs/op of a
+# benchmark regresses more than 15% against the median of its runs in
+# the committed BENCH_interp.json. The fresh run lands in
 # BENCH_interp.new.json — CI archives it as the candidate baseline, and
 # after an intentional perf change it replaces the committed file.
 bench-interp-diff:
-	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -benchmem . | tee /dev/stderr | \
+	@$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 2s -count 5 -benchmem . | tee /dev/stderr | \
 	  $(GO) run ./cmd/benchjson -baseline BENCH_interp.json -max-regress 15 -match '^BenchmarkEngine' -out BENCH_interp.new.json
 	@echo "wrote BENCH_interp.new.json (candidate baseline)"
 
@@ -146,4 +148,4 @@ bench-interp-diff:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimplifyShared|BenchmarkSolverIncremental|BenchmarkInternConstruction|BenchmarkSolverBenign' -benchtime 1x ./internal/smt
 	$(GO) test -run '^$$' -bench 'BenchmarkPathForkDeep' -benchtime 1x ./internal/heapgraph
-	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkPhaseParse$$|BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkLex$$|BenchmarkPhase(Parse|Summaries)$$|BenchmarkEngine(Compile|SymbolicExecution|ScanRoots)' -benchtime 1x .

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/callgraph"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/phpparser"
 	"repro/internal/phptoken"
 	"repro/internal/smt"
+	"repro/internal/summary"
 	"repro/internal/uchecker"
 )
 
@@ -133,6 +135,32 @@ func BenchmarkPhaseCallgraphLocality(b *testing.B) {
 			b.Fatal("no roots")
 		}
 	}
+}
+
+// BenchmarkPhaseSummaries measures the function-summary layer
+// (summary.Build: the per-file local layer plus composition) on the same
+// large app, files in name order as the scanner parses them.
+func BenchmarkPhaseSummaries(b *testing.B) {
+	app, _ := corpus.ByName("Joomla-Bible-study 9.1.1")
+	names := make([]string, 0, len(app.Sources))
+	var total int
+	for name, src := range app.Sources {
+		names = append(names, name)
+		total += len(src)
+	}
+	sort.Strings(names)
+	files := make([]*phpast.File, 0, len(names))
+	for _, name := range names {
+		f, _ := phpparser.Parse(name, app.Sources[name])
+		files = append(files, f)
+	}
+	b.SetBytes(int64(total))
+	b.ResetTimer()
+	var set *summary.Set
+	for i := 0; i < b.N; i++ {
+		set = summary.Build(files, smt.NewFactory())
+	}
+	b.ReportMetric(float64(set.Computed), "functions/op")
 }
 
 // BenchmarkPhaseSymbolicExecution measures the interpreter on the most

@@ -12,10 +12,11 @@
 // With -baseline, benchjson additionally diffs the fresh run against a
 // previously archived JSON document and exits non-zero when ns/op or
 // allocs/op regresses by more than -max-regress percent on any benchmark
-// (optionally filtered by -match). This is the CI regression gate for
-// the engine benchmarks:
+// (optionally filtered by -match). A benchmark run several times
+// (-count) is compared by the median of its runs on each side. This is
+// the CI regression gate for the engine benchmarks:
 //
-//	go test -run '^$' -bench BenchmarkEngine -benchmem . |
+//	go test -run '^$' -bench BenchmarkEngine -count 5 -benchmem . |
 //	  go run ./cmd/benchjson -baseline BENCH_interp.json -out BENCH_interp.new.json
 package main
 
@@ -27,6 +28,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -113,28 +115,32 @@ func benchKey(name string) string { return procsSuffix.ReplaceAllString(name, ""
 // the fresh run, writes a per-metric report to w, and returns the number
 // of gated metrics that regressed by more than maxRegress percent.
 // Benchmarks are paired by name with any GOMAXPROCS suffix stripped. A
-// matching baseline benchmark missing from the fresh run counts as a
-// regression: the gate must not silently pass because a bench was
-// renamed or dropped.
+// name run several times (go test -count N) is represented on each side
+// by the median of its runs, metric by metric, so one noisy run on a
+// shared machine neither fails nor passes the gate alone. A matching
+// baseline benchmark missing from the fresh run counts as a regression:
+// the gate must not silently pass because a bench was renamed or
+// dropped.
 func diff(base, fresh *doc, re *regexp.Regexp, maxRegress float64, w io.Writer) int {
-	byName := make(map[string]result, len(fresh.Results))
-	for _, r := range fresh.Results {
-		byName[benchKey(r.Name)] = r
-	}
+	baseByKey, freshByKey := medians(base.Results), medians(fresh.Results)
 	regressions := 0
+	seen := map[string]bool{}
 	for _, b := range base.Results {
-		if !re.MatchString(b.Name) {
+		key := benchKey(b.Name)
+		if !re.MatchString(b.Name) || seen[key] {
 			continue
 		}
-		f, ok := byName[benchKey(b.Name)]
+		seen[key] = true
+		f, ok := freshByKey[key]
 		if !ok {
 			fmt.Fprintf(w, "FAIL %s: present in baseline, missing from fresh run\n", b.Name)
 			regressions++
 			continue
 		}
+		bm := baseByKey[key]
 		for _, m := range gatedMetrics {
-			bv, bok := b.Metrics[m]
-			fv, fok := f.Metrics[m]
+			bv, bok := bm.metrics[m]
+			fv, fok := f.metrics[m]
 			if !bok || !fok || bv == 0 {
 				continue
 			}
@@ -144,10 +150,54 @@ func diff(base, fresh *doc, re *regexp.Regexp, maxRegress float64, w io.Writer) 
 				status = "FAIL"
 				regressions++
 			}
-			fmt.Fprintf(w, "%s %s %s: %.0f -> %.0f (%+.1f%%)\n", status, b.Name, m, bv, fv, pct)
+			fmt.Fprintf(w, "%s %s %s: %.0f -> %.0f (%+.1f%%, median of %d vs %d runs)\n",
+				status, b.Name, m, bv, fv, pct, bm.runs, f.runs)
 		}
 	}
 	return regressions
+}
+
+// medianRun is one benchmark's metrics as the median over its runs.
+type medianRun struct {
+	runs    int
+	metrics map[string]float64
+}
+
+// medians groups results by benchKey and takes, per metric, the median
+// over the runs that report it.
+func medians(results []result) map[string]medianRun {
+	samples := map[string]map[string][]float64{}
+	runs := map[string]int{}
+	for _, r := range results {
+		key := benchKey(r.Name)
+		if samples[key] == nil {
+			samples[key] = map[string][]float64{}
+		}
+		runs[key]++
+		for m, v := range r.Metrics {
+			samples[key][m] = append(samples[key][m], v)
+		}
+	}
+	out := make(map[string]medianRun, len(samples))
+	for key, byMetric := range samples {
+		s := medianRun{runs: runs[key], metrics: make(map[string]float64, len(byMetric))}
+		for m, vs := range byMetric {
+			s.metrics[m] = median(vs)
+		}
+		out[key] = s
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when len(vs) is even. It reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBench reads `go test -bench` text output into a doc.

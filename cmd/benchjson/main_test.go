@@ -114,3 +114,39 @@ func TestDiffIgnoresProcsSuffix(t *testing.T) {
 		t.Fatalf("suffixed baseline vs unsuffixed run: %d regressions, want 0", n)
 	}
 }
+
+func TestDiffUsesMedianOfCounts(t *testing.T) {
+	// Five -count runs per side. One outlier on either side must not
+	// decide the verdict: the baseline's median is 100, the fresh
+	// side's 110 (+10%), within a 15% bound although the fresh run's
+	// last result alone is +40%.
+	base := mkDoc(res("BenchmarkEngineCorpus/tree-2", 100, 1000), res("BenchmarkEngineCorpus/tree-2", 60, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 104, 1000), res("BenchmarkEngineCorpus/tree-2", 98, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 101, 1000))
+	fresh := mkDoc(res("BenchmarkEngineCorpus/tree-2", 108, 1000), res("BenchmarkEngineCorpus/tree-2", 110, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 112, 1000), res("BenchmarkEngineCorpus/tree-2", 95, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 140, 1000))
+	var sb strings.Builder
+	if n := diff(base, fresh, regexp.MustCompile(""), 15, &sb); n != 0 {
+		t.Fatalf("median +10%% flagged as regression:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "100 -> 110") || !strings.Contains(sb.String(), "median of 5 vs 5 runs") {
+		t.Errorf("report does not compare the medians:\n%s", sb.String())
+	}
+	if got := strings.Count(sb.String(), "ns/op"); got != 1 {
+		t.Errorf("a name run 5 times reported %d ns/op lines, want 1:\n%s", got, sb.String())
+	}
+
+	// A regression in the median fails even when some runs are fast.
+	fresh = mkDoc(res("BenchmarkEngineCorpus/tree-2", 90, 1000), res("BenchmarkEngineCorpus/tree-2", 125, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 130, 1000), res("BenchmarkEngineCorpus/tree-2", 95, 1000),
+		res("BenchmarkEngineCorpus/tree-2", 121, 1000))
+	if n := diff(base, fresh, regexp.MustCompile(""), 15, &strings.Builder{}); n != 1 {
+		t.Fatalf("median +21%% (121 vs 100): got %d regressions, want 1", n)
+	}
+
+	// An even count takes the mean of the two middle runs.
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median of 1..4 = %v, want 2.5", m)
+	}
+}

@@ -774,8 +774,10 @@ func (d *Daemon) runJob(job *Job) {
 		if err := d.cache.Put(job.Key, raw); err != nil {
 			d.reg.Add(daemonLabels, "cache_put_failures_total", 1)
 		}
-		d.finishJob(job, scanjournal.TypeJobFinish, raw, "")
+		// Merge the scan's counters before the job turns terminal, so a
+		// client that sees it finished also sees them in /metrics.
 		d.reg.Merge(scanLabels, rep.Metrics)
+		d.finishJob(job, scanjournal.TypeJobFinish, raw, "")
 	}
 }
 

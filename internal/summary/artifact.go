@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/phpast"
 	"repro/internal/smt"
 )
 
@@ -25,39 +24,6 @@ type TermNode struct {
 	S    string      `json:"s,omitempty"`
 	B    bool        `json:"b,omitempty"`
 	Args []*TermNode `json:"args,omitempty"`
-}
-
-// termOfExpr builds a TermNode for expressions in the summary term
-// vocabulary: scalar literals, unassigned formals, and "."-concats of
-// those. Returns nil for anything else.
-func termOfExpr(e phpast.Expr, params map[string]int, assigned map[string]bool) *TermNode {
-	switch n := e.(type) {
-	case *phpast.StringLit:
-		return &TermNode{Op: "str", S: n.Value}
-	case *phpast.IntLit:
-		return &TermNode{Op: "int", I: n.Value}
-	case *phpast.BoolLit:
-		return &TermNode{Op: "bool", B: n.Value}
-	case *phpast.NullLit:
-		return &TermNode{Op: "null"}
-	case *phpast.Var:
-		if i, ok := params[n.Name]; ok && !assigned[n.Name] {
-			return &TermNode{Op: "formal", I: int64(i)}
-		}
-		return nil
-	case *phpast.Binary:
-		if n.Op != "." {
-			return nil
-		}
-		l := termOfExpr(n.L, params, assigned)
-		r := termOfExpr(n.R, params, assigned)
-		if l == nil || r == nil {
-			return nil
-		}
-		return &TermNode{Op: "concat", Args: []*TermNode{l, r}}
-	default:
-		return nil
-	}
 }
 
 // toSMT interns a TermNode into the scan's term factory. All formals

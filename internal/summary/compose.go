@@ -2,7 +2,8 @@ package summary
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/sexpr"
 	"repro/internal/smt"
@@ -34,89 +35,135 @@ const (
 // summaries. File order decides duplicate-name resolution
 // (first declaration wins), matching the interpreter.
 func Compose(locals []*FileLocal, fac *smt.Factory) *Set {
-	set := &Set{Funcs: map[string]*Summary{}}
-	chosen := map[string]*FuncLocal{}
-	var order []string
+	total := 0
+	for _, fl := range locals {
+		if fl != nil {
+			total += len(fl.Funcs)
+		}
+	}
+	c := &composer{fac: fac, ids: make(map[string]int, total), fns: make([]*FuncLocal, 0, total)}
 	for _, fl := range locals {
 		if fl == nil {
 			continue
 		}
 		for _, fn := range fl.Funcs {
-			if _, ok := chosen[fn.Name]; !ok {
-				chosen[fn.Name] = fn
-				order = append(order, fn.Name)
+			if _, ok := c.ids[fn.Name]; !ok {
+				c.ids[fn.Name] = len(c.fns)
+				c.fns = append(c.fns, fn)
 			}
 		}
 	}
-
-	for _, scc := range sccs(order, chosen) {
-		composeSCC(scc, chosen, set.Funcs, fac)
+	c.link()
+	c.sums = make([]*Summary, len(c.fns))
+	c.composeSCCs()
+	set := &Set{Funcs: make(map[string]*Summary, len(c.fns))}
+	for v, fn := range c.fns {
+		set.Funcs[fn.Name] = c.sums[v]
 	}
 	return set
 }
 
-// sccs returns the strongly connected components of the name-level
-// call graph in reverse topological order (callees before callers).
-func sccs(order []string, chosen map[string]*FuncLocal) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
+// composer holds the name-level call graph over the chosen functions,
+// numbered in first-declaration order, and their summaries as they are
+// resolved.
+type composer struct {
+	fac *smt.Factory
+	ids map[string]int // function name -> number
+	fns []*FuncLocal
+	// callees holds, for every function's call sites in order, the
+	// callee's number or -1 for a built-in or undeclared callee;
+	// function v's sites are callees[siteAt[v]:siteAt[v+1]].
+	callees []int
+	siteAt  []int
+	sums    []*Summary // by function number; nil until resolved
+}
+
+func (c *composer) link() {
+	c.siteAt = make([]int, len(c.fns)+1)
+	for v, fn := range c.fns {
+		c.siteAt[v+1] = c.siteAt[v] + len(fn.Sites)
+	}
+	c.callees = make([]int, 0, c.siteAt[len(c.fns)])
+	for _, fn := range c.fns {
+		for _, s := range fn.Sites {
+			c.callees = append(c.callees, c.id(s.Callee))
+		}
+	}
+}
+
+// id returns a function's number, or -1 if it is not a graph node.
+func (c *composer) id(name string) int {
+	if v, ok := c.ids[name]; ok {
+		return v
+	}
+	return -1
+}
+
+func (c *composer) sites(v int) []int { return c.callees[c.siteAt[v]:c.siteAt[v+1]] }
+
+// composeSCCs runs Tarjan over the call graph and composes each
+// strongly connected component as it is found, which is in reverse
+// topological order (callees before callers).
+func (c *composer) composeSCCs() {
+	const unvisited = -1
+	n := len(c.fns)
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	for i := range index {
+		index[i] = unvisited
+	}
+	var stack []int
 	next := 0
 
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
+	var strongconnect func(v int)
+	strongconnect = func(v int) {
 		index[v] = next
 		low[v] = next
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, s := range chosen[v].Sites {
-			w := s.Callee
-			if chosen[w] == nil {
-				continue // builtin or undeclared: not a graph node
-			}
-			if _, seen := index[w]; !seen {
+		for _, w := range c.sites(v) {
+			switch {
+			case w < 0:
+				// built-in or undeclared: not a graph node
+			case index[w] == unvisited:
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			case onStack[w]:
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
+			i := len(stack) - 1
+			for stack[i] != v {
+				i--
 			}
-			out = append(out, comp)
+			comp := stack[i:]
+			for _, w := range comp {
+				onStack[w] = false
+			}
+			c.composeSCC(comp)
+			stack = stack[:i]
 		}
 	}
-	for _, v := range order {
-		if _, seen := index[v]; !seen {
+	for v := range c.fns {
+		if index[v] == unvisited {
 			strongconnect(v)
 		}
 	}
-	return out
 }
 
 // composeSCC resolves one component, iterating cyclic components to a
 // fixpoint with widening.
-func composeSCC(comp []string, chosen map[string]*FuncLocal, table map[string]*Summary, fac *smt.Factory) {
-	recursive := len(comp) > 1 || selfCalls(chosen[comp[0]])
-	sort.Strings(comp) // deterministic member iteration inside the fixpoint
+func (c *composer) composeSCC(comp []int) {
+	recursive := len(comp) > 1 || slices.Contains(c.sites(comp[0]), comp[0])
+	// deterministic member iteration inside the fixpoint
+	slices.SortFunc(comp, func(a, b int) int { return strings.Compare(c.fns[a].Name, c.fns[b].Name) })
 
 	// Seed the table so in-component lookups see a (partial) summary.
-	for _, name := range comp {
-		table[name] = resolveOne(chosen[name], table, fac, recursive)
+	for _, v := range comp {
+		c.sums[v] = c.resolveOne(v, recursive)
 	}
 	if !recursive {
 		return
@@ -124,12 +171,12 @@ func composeSCC(comp []string, chosen map[string]*FuncLocal, table map[string]*S
 	widened := false
 	for round := 0; ; round++ {
 		changed := false
-		for _, name := range comp {
-			next := resolveOne(chosen[name], table, fac, true)
-			if !summariesEqual(table[name], next) {
+		for _, v := range comp {
+			next := c.resolveOne(v, true)
+			if !summariesEqual(c.sums[v], next) {
 				changed = true
 			}
-			table[name] = next
+			c.sums[v] = next
 		}
 		if !changed {
 			break
@@ -140,8 +187,8 @@ func composeSCC(comp []string, chosen map[string]*FuncLocal, table map[string]*S
 		}
 	}
 	if widened {
-		for _, name := range comp {
-			s := table[name]
+		for _, v := range comp {
+			s := c.sums[v]
 			s.Widened = true
 			s.ReturnTaint = allFormals(s.Params)
 			// Widened sink masks are over-approximated the same way.
@@ -151,15 +198,6 @@ func composeSCC(comp []string, chosen map[string]*FuncLocal, table map[string]*S
 			}
 		}
 	}
-}
-
-func selfCalls(fn *FuncLocal) bool {
-	for _, s := range fn.Sites {
-		if s.Callee == fn.Name {
-			return true
-		}
-	}
-	return false
 }
 
 func allFormals(params int) uint64 {
@@ -172,8 +210,10 @@ func allFormals(params int) uint64 {
 	return (1 << uint(params)) - 1
 }
 
-// resolveOne computes a summary for fn against the current table.
-func resolveOne(fn *FuncLocal, table map[string]*Summary, fac *smt.Factory, recursive bool) *Summary {
+// resolveOne computes a summary for function v against the summaries
+// resolved so far.
+func (c *composer) resolveOne(v int, recursive bool) *Summary {
+	fn, callees := c.fns[v], c.sites(v)
 	s := &Summary{
 		Name:           fn.Name,
 		File:           fn.File,
@@ -206,7 +246,7 @@ func resolveOne(fn *FuncLocal, table map[string]*Summary, fac *smt.Factory, recu
 		changed := false
 		for j, site := range fn.Sites {
 			var m uint64
-			callee := table[site.Callee]
+			callee := c.summary(callees[j])
 			switch {
 			case callee == nil:
 				// Built-in or undeclared: conservatively, the result
@@ -262,8 +302,8 @@ func resolveOne(fn *FuncLocal, table map[string]*Summary, fac *smt.Factory, recu
 	for _, sk := range fn.Sinks {
 		addSink(SinkEffect{Sink: sk.Sink, Line: sk.Line, SrcFormals: resolve(sk.Src), DstFormals: resolve(sk.Dst)})
 	}
-	for _, site := range fn.Sites {
-		callee := table[site.Callee]
+	for j, site := range fn.Sites {
+		callee := c.summary(callees[j])
 		if callee == nil || callee.Escapes {
 			continue
 		}
@@ -280,33 +320,34 @@ func resolveOne(fn *FuncLocal, table map[string]*Summary, fac *smt.Factory, recu
 			addSink(SinkEffect{Sink: e.Sink, Line: e.Line, SrcFormals: remap(e.SrcFormals), DstFormals: remap(e.DstFormals)})
 		}
 	}
-	sort.Slice(s.Sinks, func(i, j int) bool {
-		if s.Sinks[i].Line != s.Sinks[j].Line {
-			return s.Sinks[i].Line < s.Sinks[j].Line
+	// (sink, line) keys are unique after merging, so the order is total.
+	slices.SortFunc(s.Sinks, func(a, b SinkEffect) int {
+		if a.Line != b.Line {
+			return a.Line - b.Line
 		}
-		return s.Sinks[i].Sink < s.Sinks[j].Sink
+		return strings.Compare(a.Sink, b.Sink)
 	})
 
 	// Return term: either the local call-free term, or a single-call
 	// body composed by substituting the argument terms into the
 	// callee's term.
 	if fn.RetTerm != nil {
-		s.ReturnTerm = fn.RetTerm.toSMT(fac)
+		s.ReturnTerm = fn.RetTerm.toSMT(c.fac)
 	} else if fn.RetCall != nil {
-		callee := table[fn.RetCall.Callee]
+		callee := c.summary(c.id(fn.RetCall.Callee))
 		if callee != nil && !callee.Escapes && !callee.Recursive && callee.ReturnTerm != nil {
 			args := make([]*smt.Term, len(fn.RetCall.Args))
 			ok := true
 			for i, a := range fn.RetCall.Args {
-				args[i] = a.toSMT(fac)
+				args[i] = a.toSMT(c.fac)
 				if args[i] == nil {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				rt := fac.Substitute(callee.ReturnTerm, args)
-				if fac.Size(rt) > maxTermSize {
+				rt := c.fac.Substitute(callee.ReturnTerm, args)
+				if c.fac.Size(rt) > maxTermSize {
 					s.Widened = true
 				} else {
 					s.ReturnTerm = rt
@@ -320,6 +361,15 @@ func resolveOne(fn *FuncLocal, table map[string]*Summary, fac *smt.Factory, recu
 		s.ReturnTerm = nil
 	}
 	return s
+}
+
+// summary returns function v's summary so far: nil for a built-in or
+// undeclared callee (v < 0) and for a function not yet resolved.
+func (c *composer) summary(v int) *Summary {
+	if v < 0 {
+		return nil
+	}
+	return c.sums[v]
 }
 
 func constOf(fn *FuncLocal) sexpr.Expr {

@@ -1,7 +1,6 @@
 package summary
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/callgraph"
@@ -26,9 +25,7 @@ type AtomSet struct {
 }
 
 func (a AtomSet) union(b AtomSet) AtomSet {
-	out := AtomSet{Formals: a.Formals | b.Formals}
-	out.Sites = mergeSorted(a.Sites, b.Sites)
-	return out
+	return AtomSet{Formals: a.Formals | b.Formals, Sites: mergeSorted(a.Sites, b.Sites)}
 }
 
 func (a AtomSet) equal(b AtomSet) bool {
@@ -45,12 +42,15 @@ func (a AtomSet) equal(b AtomSet) bool {
 
 func (a AtomSet) empty() bool { return a.Formals == 0 && len(a.Sites) == 0 }
 
+// mergeSorted returns the sorted union of a and b. Site lists are never
+// written after construction, so an input that already holds the union
+// is returned as is.
 func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0 || subsetSorted(b, a):
 		return a
-	}
-	if len(a) == 0 {
-		return append([]int(nil), b...)
+	case len(a) == 0 || subsetSorted(a, b):
+		return b
 	}
 	out := make([]int, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -69,6 +69,24 @@ func mergeSorted(a, b []int) []int {
 		}
 	}
 	return out
+}
+
+// subsetSorted reports whether every element of sorted a is in sorted b.
+func subsetSorted(a, b []int) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Site is one resolvable call site inside a function body: a call to a
@@ -145,19 +163,23 @@ type FileLocal struct {
 // name registration mirrors the interpreter's declare(): FuncDecls
 // under their lowercase name, class methods under both the qualified
 // "class::method" and the bare method name, first declaration wins
-// (collisions are resolved by Compose across files).
+// (collisions are resolved by Compose across files). A method body is
+// scanned once; the bare-name entry is a copy that differs only in
+// Name.
 func LocalFile(f *phpast.File) *FileLocal {
 	fl := &FileLocal{Version: ArtifactVersion, File: f.Name}
+	sc := &localScan{index: map[string]int{}}
 	for _, s := range f.Stmts {
 		phpast.Walk(s, func(n phpast.Node) bool {
 			switch d := n.(type) {
 			case *phpast.FuncDecl:
-				fl.Funcs = append(fl.Funcs, localFunc(lower(d.Name), f.Name, d.P.Line, d.Params, d.Body, false))
+				fl.Funcs = append(fl.Funcs, sc.function(lower(d.Name), f.Name, d.P.Line, d.Params, d.Body, false))
 			case *phpast.ClassDecl:
 				for _, m := range d.Methods {
-					qual := lower(d.Name + "::" + m.Name)
-					fl.Funcs = append(fl.Funcs, localFunc(qual, f.Name, m.P.Line, m.Params, m.Body, true))
-					fl.Funcs = append(fl.Funcs, localFunc(lower(m.Name), f.Name, m.P.Line, m.Params, m.Body, true))
+					qual := sc.function(lower(d.Name+"::"+m.Name), f.Name, m.P.Line, m.Params, m.Body, true)
+					bare := *qual
+					bare.Name = lower(m.Name)
+					fl.Funcs = append(fl.Funcs, qual, &bare)
 				}
 				return false // methods handled; don't re-walk as nested decls
 			}
@@ -167,34 +189,70 @@ func LocalFile(f *phpast.File) *FileLocal {
 	return fl
 }
 
-// localScan carries the walker state for one function body.
+// localScan carries the walker state for one function body. One
+// scanner serves every function of a file: function resets it, so the
+// name index is allocated once per file.
 type localScan struct {
-	fl       *FuncLocal
-	params   map[string]int  // formal name -> index
-	assigned map[string]bool // formals that are assignment targets
-	vars     map[string]AtomSet
-	// occurrence bookkeeping for DeadVars / MergeVars
-	occs     map[string]int  // total occurrences per var
-	deadOccs map[string]int  // occurrences that are plain-assign LHS
-	condOccs map[string]int  // occurrences that are an entire if-cond/switch-subject
-	declared map[string]bool // names in global/static declarations or params
+	fl *FuncLocal
+	// index maps a variable name to its record in names.
+	index map[string]int
+	names []nameInfo
+	// grew is set when a sweep inserts a variable's taint entry or
+	// grows its AtomSet; a sweep that leaves it unset is the fixpoint.
+	grew bool
 }
 
-func localFunc(name, file string, line int, params []phpast.Param, body []phpast.Stmt, isMethod bool) *FuncLocal {
-	fl := &FuncLocal{Name: name, File: file, Line: line, Params: len(params), RetFormal: -1}
-	sc := &localScan{
-		fl:       fl,
-		params:   map[string]int{},
-		assigned: map[string]bool{},
-		vars:     map[string]AtomSet{},
-		occs:     map[string]int{},
-		deadOccs: map[string]int{},
-		condOccs: map[string]int{},
-		declared: map[string]bool{},
+// nameInfo is everything the scan knows about one variable name.
+type nameInfo struct {
+	param    int     // formal index, or -1
+	assigned bool    // a formal that is an assignment target
+	bound    bool    // has a taint entry (taint may still be empty)
+	taint    AtomSet // flow-insensitive union of every assigned value
+	// occurrence bookkeeping for DeadVars / MergeVars
+	occs     int  // total occurrences
+	deadOccs int  // occurrences that are plain-assign LHS
+	condOccs int  // occurrences that are an entire if-cond/switch-subject
+	declared bool // named in a global/static declaration or a param
+}
+
+// info returns name's record, creating it on first use. The pointer is
+// valid until the next call creates a record.
+func (sc *localScan) info(name string) *nameInfo {
+	if i, ok := sc.index[name]; ok {
+		return &sc.names[i]
 	}
+	sc.index[name] = len(sc.names)
+	sc.names = append(sc.names, nameInfo{param: -1})
+	return &sc.names[len(sc.names)-1]
+}
+
+// lookup returns name's record, or nil if the scan has not seen it.
+func (sc *localScan) lookup(name string) *nameInfo {
+	if i, ok := sc.index[name]; ok {
+		return &sc.names[i]
+	}
+	return nil
+}
+
+// unassignedFormal returns the index of the formal called name, if it
+// is never an assignment target: only then does its value at a return
+// equal the caller's argument.
+func (sc *localScan) unassignedFormal(name string) (int, bool) {
+	if r := sc.lookup(name); r != nil && r.param >= 0 && !r.assigned {
+		return r.param, true
+	}
+	return 0, false
+}
+
+func (sc *localScan) function(name, file string, line int, params []phpast.Param, body []phpast.Stmt, isMethod bool) *FuncLocal {
+	fl := &FuncLocal{Name: name, File: file, Line: line, Params: len(params), RetFormal: -1}
+	sc.fl = fl
+	clear(sc.index)
+	sc.names = sc.names[:0]
 	for i, p := range params {
-		sc.params[p.Name] = i
-		sc.declared[p.Name] = true
+		r := sc.info(p.Name)
+		r.param = i
+		r.declared = true
 		switch {
 		case p.ByRef:
 			sc.escape("by-ref param")
@@ -210,12 +268,11 @@ func localFunc(name, file string, line int, params []phpast.Param, body []phpast
 	}
 
 	// Taint assignments are order-sensitive through locals
-	// ($x = $a; $y = $x;), so sweep the statement walk until the
-	// var table stops changing. Atom sets only grow, so the sweep
-	// count is bounded by the lattice height; the explicit cap is a
-	// backstop.
+	// ($x = $a; $y = $x;), so sweep the statement walk until a sweep
+	// neither adds a variable nor grows one's atoms. Atom sets only
+	// grow, so the sweep count is bounded by the lattice height; the
+	// explicit cap is a backstop.
 	for sweep := 0; sweep < 64; sweep++ {
-		before := sc.snapshot()
 		first := sweep == 0
 		if !first {
 			// Re-sweeps only propagate taint; structural facts
@@ -225,8 +282,9 @@ func localFunc(name, file string, line int, params []phpast.Param, body []phpast
 			sc.fl.Sinks = sc.fl.Sinks[:0]
 			sc.fl.Return = AtomSet{}
 		}
+		sc.grew = false
 		sc.stmts(body, first)
-		if sc.snapshot() == before {
+		if !sc.grew {
 			break
 		}
 	}
@@ -234,20 +292,6 @@ func localFunc(name, file string, line int, params []phpast.Param, body []phpast
 	sc.classifyTrivialReturn(body)
 	sc.finishVars()
 	return fl
-}
-
-func (sc *localScan) snapshot() string {
-	keys := make([]string, 0, len(sc.vars))
-	for k := range sc.vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		a := sc.vars[k]
-		out += fmt.Sprintf("%s{%x %v}", k, a.Formals, a.Sites)
-	}
-	return out
 }
 
 func (sc *localScan) escape(reason string) {
@@ -353,14 +397,14 @@ func (sc *localScan) stmt(s phpast.Stmt, first bool) {
 		sc.escape("global statement")
 		if first {
 			for _, name := range n.Names {
-				sc.declared[name] = true
+				sc.info(name).declared = true
 			}
 		}
 	case *phpast.StaticVars:
 		sc.escape("static variables")
 		if first {
 			for _, name := range n.Names {
-				sc.declared[name] = true
+				sc.info(name).declared = true
 			}
 		}
 		for _, e := range n.Inits {
@@ -564,10 +608,14 @@ func sinkArgRoles(name string, args []AtomSet) (src, dst AtomSet) {
 
 // varRead records a variable occurrence and returns its taint.
 func (sc *localScan) varRead(v *phpast.Var, first bool) AtomSet {
+	var r *nameInfo
 	if first {
-		sc.occs[v.Name]++
+		r = sc.info(v.Name)
+		r.occs++
+	} else {
+		r = sc.lookup(v.Name)
 	}
-	if superglobals[v.Name] {
+	if isSuperglobal(v.Name) {
 		if v.Name == "_FILES" {
 			sc.fl.TouchesFiles = true
 		}
@@ -576,10 +624,14 @@ func (sc *localScan) varRead(v *phpast.Var, first bool) AtomSet {
 		}
 		return AtomSet{}
 	}
-	if i, ok := sc.params[v.Name]; ok {
-		return AtomSet{Formals: 1 << uint(i)}.union(sc.vars[v.Name])
+	switch {
+	case r == nil:
+		return AtomSet{}
+	case r.param >= 0:
+		return AtomSet{Formals: 1 << uint(r.param)}.union(r.taint)
+	default:
+		return r.taint
 	}
-	return sc.vars[v.Name]
 }
 
 // assignTo routes taint into an assignment target and maintains the
@@ -588,21 +640,28 @@ func (sc *localScan) varRead(v *phpast.Var, first bool) AtomSet {
 func (sc *localScan) assignTo(target phpast.Expr, val AtomSet, plain bool, first bool) AtomSet {
 	switch t := target.(type) {
 	case *phpast.Var:
+		r := sc.info(t.Name)
 		if first {
-			sc.occs[t.Name]++
+			r.occs++
 			if plain {
-				sc.deadOccs[t.Name]++
+				r.deadOccs++
 			}
 		}
-		sc.markAssignedFormal(t.Name)
-		if superglobals[t.Name] {
+		if r.param >= 0 {
+			r.assigned = true
+		}
+		if isSuperglobal(t.Name) {
 			if t.Name == "GLOBALS" {
 				sc.fl.TouchesGlobals = true
 			}
 			return val
 		}
 		// Flow-insensitive: keep the union across the body.
-		sc.vars[t.Name] = sc.vars[t.Name].union(val)
+		if u := r.taint.union(val); !r.bound || !u.equal(r.taint) {
+			r.bound = true
+			r.taint = u
+			sc.grew = true
+		}
 		return val
 	case *phpast.ArrayDim:
 		// $a[expr] = v taints the whole array variable.
@@ -623,8 +682,8 @@ func (sc *localScan) assignTo(target phpast.Expr, val AtomSet, plain bool, first
 }
 
 func (sc *localScan) markAssignedFormal(name string) {
-	if _, ok := sc.params[name]; ok {
-		sc.assigned[name] = true
+	if r := sc.lookup(name); r != nil && r.param >= 0 {
+		r.assigned = true
 	}
 }
 
@@ -633,7 +692,7 @@ func (sc *localScan) markAssignedFormal(name string) {
 // variables.
 func (sc *localScan) condOccurrence(e phpast.Expr) {
 	if v, ok := e.(*phpast.Var); ok {
-		sc.condOccs[v.Name]++
+		sc.info(v.Name).condOccs++
 	}
 }
 
@@ -663,7 +722,7 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 	line := ret.P.Line
 	switch x := ret.X.(type) {
 	case *phpast.Var:
-		if i, ok := sc.params[x.Name]; ok && !sc.assigned[x.Name] {
+		if i, ok := sc.unassignedFormal(x.Name); ok {
 			sc.fl.RetFormal = i
 		}
 	case *phpast.StringLit:
@@ -687,7 +746,7 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 		line = x.P.Line
 	}
 	if sc.fl.RetFormal >= 0 || sc.fl.RetConstKind != "" {
-		sc.fl.RetTerm = termOfExpr(ret.X, sc.params, sc.assigned)
+		sc.fl.RetTerm = sc.term(ret.X)
 		sc.fl.RetLine = line
 		return
 	}
@@ -699,7 +758,7 @@ func (sc *localScan) classifyTrivialReturn(body []phpast.Stmt) {
 // classifyReturnTerm records a symbolic return term (or single-call
 // composition shape) for a lone-return body that is not trivial.
 func (sc *localScan) classifyReturnTerm(ret *phpast.Return) {
-	if t := termOfExpr(ret.X, sc.params, sc.assigned); t != nil {
+	if t := sc.term(ret.X); t != nil {
 		sc.fl.RetTerm = t
 		sc.fl.RetLine = ret.P.Line
 		return
@@ -711,13 +770,46 @@ func (sc *localScan) classifyReturnTerm(ret *phpast.Return) {
 		}
 		args := make([]*TermNode, len(c.Args))
 		for i, a := range c.Args {
-			args[i] = termOfExpr(a, sc.params, sc.assigned)
+			args[i] = sc.term(a)
 			if args[i] == nil {
 				return
 			}
 		}
 		sc.fl.RetCall = &RetCallLocal{Callee: name, Args: args}
 		sc.fl.RetLine = ret.P.Line
+	}
+}
+
+// term builds a TermNode for expressions in the summary term
+// vocabulary: scalar literals, unassigned formals, and "."-concats of
+// those. Returns nil for anything else.
+func (sc *localScan) term(e phpast.Expr) *TermNode {
+	switch n := e.(type) {
+	case *phpast.StringLit:
+		return &TermNode{Op: "str", S: n.Value}
+	case *phpast.IntLit:
+		return &TermNode{Op: "int", I: n.Value}
+	case *phpast.BoolLit:
+		return &TermNode{Op: "bool", B: n.Value}
+	case *phpast.NullLit:
+		return &TermNode{Op: "null"}
+	case *phpast.Var:
+		if i, ok := sc.unassignedFormal(n.Name); ok {
+			return &TermNode{Op: "formal", I: int64(i)}
+		}
+		return nil
+	case *phpast.Binary:
+		if n.Op != "." {
+			return nil
+		}
+		l := sc.term(n.L)
+		r := sc.term(n.R)
+		if l == nil || r == nil {
+			return nil
+		}
+		return &TermNode{Op: "concat", Args: []*TermNode{l, r}}
+	default:
+		return nil
 	}
 }
 
@@ -729,19 +821,21 @@ func (sc *localScan) classifyReturnTerm(ret *phpast.Return) {
 // that occurrence is an entire if-condition or switch-subject, with
 // the same exclusions.
 func (sc *localScan) finishVars() {
-	dead := map[string]bool{}
-	merge := map[string]bool{}
-	for name, total := range sc.occs {
-		if sc.declared[name] || superglobals[name] {
+	var dead, merge []string
+	for name, i := range sc.index {
+		r := &sc.names[i]
+		if r.occs == 0 || r.declared || isSuperglobal(name) {
 			continue
 		}
-		if total > 0 && sc.deadOccs[name] == total {
-			dead[name] = true
+		if r.deadOccs == r.occs {
+			dead = append(dead, name)
 		}
-		if total == 1 && sc.condOccs[name] == 1 {
-			merge[name] = true
+		if r.occs == 1 && r.condOccs == 1 {
+			merge = append(merge, name)
 		}
 	}
-	sc.fl.DeadVars = sortedNames(dead)
-	sc.fl.MergeVars = sortedNames(merge)
+	sort.Strings(dead)
+	sort.Strings(merge)
+	sc.fl.DeadVars = dead
+	sc.fl.MergeVars = merge
 }

@@ -22,7 +22,6 @@
 package summary
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/phpast"
@@ -118,9 +117,10 @@ func (s *Summary) Trivial() bool {
 type Set struct {
 	Funcs map[string]*Summary
 
-	// Computed counts function summaries computed fresh this scan;
-	// CacheHits counts per-file artifacts served from the
-	// content-addressed cache. Both feed scan-level metrics.
+	// Computed counts the functions whose local layer was computed
+	// fresh this scan (class methods count twice, once per registered
+	// name); CacheHits counts per-file artifacts served from an
+	// ArtifactStore instead. Both feed scan-level metrics.
 	Computed  int
 	CacheHits int
 }
@@ -134,39 +134,60 @@ func (s *Set) Lookup(lname string) *Summary {
 	return s.Funcs[lname]
 }
 
+// ArtifactStore serves per-file local layers computed by an earlier
+// scan, such as the scanner's content-addressed cache. Load reports a
+// miss (including an unreadable or stale artifact) with ok=false; Store
+// is best-effort.
+type ArtifactStore interface {
+	Load(f *phpast.File) (fl *FileLocal, ok bool)
+	Store(f *phpast.File, fl *FileLocal)
+}
+
 // Build computes summaries for a set of parsed files: the per-file
 // local layer followed by cross-function composition. The file order
 // must match the interpreter's, because both resolve duplicate
-// function names first-declaration-wins.
+// function names first-declaration-wins. Computed is the total number
+// of local-layer functions, duplicate names included.
 func Build(files []*phpast.File, fac *smt.Factory) *Set {
+	return BuildWith(files, fac, nil)
+}
+
+// BuildWith is Build with the local layer served from store where it
+// holds a file's artifact; a nil store computes every file. Only
+// freshly computed functions count toward Computed, so with a nil or
+// cold store Computed equals Build's.
+func BuildWith(files []*phpast.File, fac *smt.Factory, store ArtifactStore) *Set {
 	locals := make([]*FileLocal, 0, len(files))
+	computed, hits := 0, 0
 	for _, f := range files {
-		locals = append(locals, LocalFile(f))
+		if store != nil {
+			if fl, ok := store.Load(f); ok {
+				locals = append(locals, fl)
+				hits++
+				continue
+			}
+		}
+		fl := LocalFile(f)
+		computed += len(fl.Funcs)
+		if store != nil {
+			store.Store(f, fl)
+		}
+		locals = append(locals, fl)
 	}
 	set := Compose(locals, fac)
-	for _, fl := range locals {
-		set.Computed += len(fl.Funcs)
-	}
+	set.Computed, set.CacheHits = computed, hits
 	return set
 }
 
-// superglobals must never be treated as mergeable condition variables
-// or dead locals: their values are shared with the caller's world.
-var superglobals = map[string]bool{
-	"_FILES": true, "_GET": true, "_POST": true, "_REQUEST": true,
-	"_COOKIE": true, "_SERVER": true, "_SESSION": true,
-	"GLOBALS": true, "_ENV": true,
-}
-
-func sortedNames(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k, v := range m {
-		if v {
-			out = append(out, k)
-		}
+// isSuperglobal reports whether name is a PHP superglobal. Superglobals
+// are never mergeable condition variables or dead locals: their values
+// are shared with the caller's world.
+func isSuperglobal(name string) bool {
+	switch name {
+	case "_FILES", "_GET", "_POST", "_REQUEST", "_COOKIE", "_SERVER", "_SESSION", "GLOBALS", "_ENV":
+		return true
 	}
-	sort.Strings(out)
-	return out
+	return false
 }
 
 func lower(s string) string { return strings.ToLower(s) }

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -362,5 +363,46 @@ func TestArtifactVersionSkew(t *testing.T) {
 	}
 	if _, err := DecodeFile([]byte("{not json")); err == nil {
 		t.Fatal("corrupt artifact decoded without error")
+	}
+}
+
+// TestMethodScannedOnceRegisteredTwice pins the two registrations of a
+// class method: the bare-name entry is a copy of the qualified one that
+// differs only in Name, and the artifact encodes exactly as it did when
+// each name was scanned separately.
+func TestMethodScannedOnceRegisteredTwice(t *testing.T) {
+	fl := LocalFile(parse(t, `
+class Up {
+	function save($f) { $d = "up/"; if ($ok) { move_uploaded_file($f, $d . $f); } return $d; }
+	function Name() { return "x"; }
+}
+function top($a) { return helper($a); }
+`))
+	var names []string
+	for _, fn := range fl.Funcs {
+		names = append(names, fn.Name)
+	}
+	if got := strings.Join(names, ","); got != "up::save,save,up::name,name,top" {
+		t.Fatalf("registered names = %s", got)
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		qual, bare := *fl.Funcs[pair[0]], *fl.Funcs[pair[1]]
+		bare.Name = qual.Name
+		if !reflect.DeepEqual(qual, bare) {
+			t.Errorf("%s and %s differ beyond Name:\n%+v\n%+v", fl.Funcs[pair[0]].Name, fl.Funcs[pair[1]].Name, qual, bare)
+		}
+	}
+	raw, err := EncodeFile(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"version":1,"file":"test.php","funcs":[` +
+		`{"name":"up::save","file":"test.php","line":4,"params":1,"escapes":true,"escapeReason":"class method","forks":true,"sinks":[{"k":"move_uploaded_file","l":4,"src":{"f":1},"dst":{"f":1}}],"ret":{},"retLine":4,"retFormal":-1,"mergeVars":["ok"]},` +
+		`{"name":"save","file":"test.php","line":4,"params":1,"escapes":true,"escapeReason":"class method","forks":true,"sinks":[{"k":"move_uploaded_file","l":4,"src":{"f":1},"dst":{"f":1}}],"ret":{},"retLine":4,"retFormal":-1,"mergeVars":["ok"]},` +
+		`{"name":"up::name","file":"test.php","line":5,"params":0,"escapes":true,"escapeReason":"class method","ret":{},"retTerm":{"op":"str","s":"x"},"retLine":5,"retFormal":-1,"retConstKind":"str","retConstStr":"x"},` +
+		`{"name":"name","file":"test.php","line":5,"params":0,"escapes":true,"escapeReason":"class method","ret":{},"retTerm":{"op":"str","s":"x"},"retLine":5,"retFormal":-1,"retConstKind":"str","retConstStr":"x"},` +
+		`{"name":"top","file":"test.php","line":7,"params":1,"sites":[{"c":"helper","l":7,"a":[{"f":1}]}],"ret":{"s":[0]},"retCall":{"c":"helper","a":[{"op":"formal"}]},"retLine":7,"retFormal":-1}]}`
+	if string(raw) != want {
+		t.Errorf("artifact encoding changed:\n got: %s\nwant: %s", raw, want)
 	}
 }

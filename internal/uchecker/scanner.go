@@ -497,45 +497,45 @@ func scheduleFailure(root string, class FailureClass, msg string, skipped bool) 
 // mode — unopenable directory, corrupt entry, version skew, failed
 // write — degrades to a recompute, never an error.
 func (s *Scanner) buildSummaries(t Target, files []*phpast.File) *summary.Set {
-	var cache *scanjournal.Cache
+	var store summary.ArtifactStore
 	if s.opts.CacheDir != "" {
 		if c, err := scanjournal.OpenCache(s.opts.CacheDir, s.opts.FaultHook); err == nil {
-			cache = c
+			// The artifact version rides in the key alongside the
+			// options fingerprint, so a format bump self-invalidates
+			// every cached per-file summary without touching report
+			// cache entries.
+			fp := fmt.Sprintf("%s summary=v%d", s.optionsFingerprint(), summary.ArtifactVersion)
+			store = summaryStore{cache: c, fp: fp, sources: t.Sources}
 		}
 	}
-	// The artifact version rides in the key alongside the options
-	// fingerprint, so a format bump self-invalidates every cached
-	// per-file summary without touching report cache entries.
-	fp := fmt.Sprintf("%s summary=v%d", s.optionsFingerprint(), summary.ArtifactVersion)
-	locals := make([]*summary.FileLocal, 0, len(files))
-	computed, hits := 0, 0
-	for _, f := range files {
-		var fl *summary.FileLocal
-		if cache != nil {
-			key := scanjournal.CacheKey(map[string]string{f.Name: t.Sources[f.Name]}, fp)
-			if raw, ok := cache.Get(key); ok {
-				if dec, err := summary.DecodeFile(raw); err == nil {
-					fl = dec
-					hits++
-				}
-			}
-			if fl == nil {
-				fl = summary.LocalFile(f)
-				computed += len(fl.Funcs)
-				if raw, err := summary.EncodeFile(fl); err == nil {
-					cache.Put(key, raw) // best-effort: a failed Put costs one recompute
-				}
-			}
-		} else {
-			fl = summary.LocalFile(f)
-			computed += len(fl.Funcs)
-		}
-		locals = append(locals, fl)
+	return summary.BuildWith(files, smt.NewFactory(), store)
+}
+
+// summaryStore is the summary.ArtifactStore over the scan cache: one
+// entry per file, keyed by that file's source and the fingerprint.
+type summaryStore struct {
+	cache   *scanjournal.Cache
+	fp      string
+	sources map[string]string
+}
+
+func (st summaryStore) key(f *phpast.File) string {
+	return scanjournal.CacheKey(map[string]string{f.Name: st.sources[f.Name]}, st.fp)
+}
+
+func (st summaryStore) Load(f *phpast.File) (*summary.FileLocal, bool) {
+	raw, ok := st.cache.Get(st.key(f))
+	if !ok {
+		return nil, false
 	}
-	set := summary.Compose(locals, smt.NewFactory())
-	set.Computed = computed
-	set.CacheHits = hits
-	return set
+	fl, err := summary.DecodeFile(raw)
+	return fl, err == nil
+}
+
+func (st summaryStore) Store(f *phpast.File, fl *summary.FileLocal) {
+	if raw, err := summary.EncodeFile(fl); err == nil {
+		st.cache.Put(st.key(f), raw) // best-effort: a failed Put costs one recompute
+	}
 }
 
 // scanRoot runs the degradation ladder for one root:

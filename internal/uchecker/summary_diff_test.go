@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/phpast"
+	"repro/internal/phpparser"
 	"repro/internal/scanjournal"
+	"repro/internal/smt"
 	"repro/internal/summary"
 )
 
@@ -240,6 +244,38 @@ func TestInlineReportHasNoSummaryCounters(t *testing.T) {
 	for k := range rep.Metrics {
 		if strings.HasPrefix(k, "summary_") || k == "interp_paths_avoided" {
 			t.Errorf("inline report carries summary counter %s", k)
+		}
+	}
+}
+
+// TestSummaryComputedMatchesBuild pins the counter the benchmark's
+// replay check relies on: for every corpus app, the scanner's
+// summary_computed equals summary.Build's Computed over the same
+// parsed files (name order, files with no AST dropped).
+func TestSummaryComputedMatchesBuild(t *testing.T) {
+	for _, app := range corpus.All() {
+		rep, err := NewScanner(Options{
+			Budgets:   Budgets{MaxPaths: 20000},
+			Interproc: interp.InterprocSummary,
+			Workers:   1,
+		}).Scan(context.Background(), Target{Name: app.Name, Sources: app.Sources})
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		names := make([]string, 0, len(app.Sources))
+		for n := range app.Sources {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var files []*phpast.File
+		for _, n := range names {
+			if f, _ := phpparser.Parse(n, app.Sources[n]); f != nil {
+				files = append(files, f)
+			}
+		}
+		want := summary.Build(files, smt.NewFactory()).Computed
+		if got := rep.Metrics["summary_computed"]; got != int64(want) {
+			t.Errorf("%s: scanner summary_computed = %d, summary.Build Computed = %d", app.Name, got, want)
 		}
 	}
 }
