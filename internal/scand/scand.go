@@ -736,9 +736,9 @@ func (d *Daemon) runJob(job *Job) {
 
 	rep, wedged := d.executeScan(ctx, job)
 	if wedged {
+		d.reg.Add(daemonLabels, "watchdog_fired_total", 1)
 		d.finishJob(job, scanjournal.TypeJobFail, nil,
 			fmt.Sprintf("watchdog: scan wedged past deadline %v + grace", d.cfg.JobTimeout))
-		d.reg.Add(daemonLabels, "watchdog_fired_total", 1)
 		return
 	}
 
@@ -774,8 +774,8 @@ func (d *Daemon) runJob(job *Job) {
 		if err := d.cache.Put(job.Key, raw); err != nil {
 			d.reg.Add(daemonLabels, "cache_put_failures_total", 1)
 		}
-		// Merge the scan's counters before the job turns terminal, so a
-		// client that sees it finished also sees them in /metrics.
+		// Merged before finishJob for the same reason finishJob counts
+		// before it flips the state.
 		d.reg.Merge(scanLabels, rep.Metrics)
 		d.finishJob(job, scanjournal.TypeJobFinish, raw, "")
 	}
@@ -857,14 +857,15 @@ func (d *Daemon) finishJob(job *Job, typ string, report json.RawMessage, errText
 	default:
 		state, metric = JobCancelled, "jobs_cancelled_total"
 	}
+	// Counters first: a client that sees the job terminal sees them too.
+	d.reg.Add(daemonLabels, metric, 1)
+	d.reg.Add(daemonLabels, "jobs_running_now", -1)
 	d.mu.Lock()
 	job.State = state
 	job.Report = report
 	job.Error = errText
 	job.cancelScan = nil
 	d.mu.Unlock()
-	d.reg.Add(daemonLabels, metric, 1)
-	d.reg.Add(daemonLabels, "jobs_running_now", -1)
 	d.removeSpool(job.ID)
 	d.hub.publishState(job.ID, state, errText)
 }
