@@ -145,6 +145,17 @@ func TestDiffUsesMedianOfCounts(t *testing.T) {
 		t.Fatalf("median +21%% (121 vs 100): got %d regressions, want 1", n)
 	}
 
+	// A one-run baseline, as committed before baselines held five runs,
+	// is compared as is against the fresh median.
+	base = mkDoc(res("BenchmarkEngineCorpus/tree-2", 100, 1000))
+	sb.Reset()
+	if n := diff(base, fresh, regexp.MustCompile(""), 15, &sb); n != 1 {
+		t.Fatalf("one-run baseline 100 vs fresh median 121: got %d regressions, want 1", n)
+	}
+	if !strings.Contains(sb.String(), "median of 1 vs 5 runs") {
+		t.Errorf("report does not name the run counts:\n%s", sb.String())
+	}
+
 	// An even count takes the mean of the two middle runs.
 	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
 		t.Errorf("median of 1..4 = %v, want 2.5", m)

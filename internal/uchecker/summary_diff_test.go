@@ -68,7 +68,11 @@ func summaryModeFingerprint(t *testing.T, rep *AppReport) string {
 //     path budget, which is precisely the failure mode summaries exist
 //     to remove. There the summary report must show a clean completion
 //     (no abort, no retries, no degraded findings) and, for known
-//     vulnerable apps, the vulnerable verdict the inline run missed.
+//     vulnerable apps, the vulnerable verdict the inline run missed;
+//   - the summary scan's summary_computed equals summary.Build's
+//     Computed over the same parsed files (name order, files with no
+//     AST dropped), the equality the benchmark's replay check relies
+//     on.
 //
 // The 20000-path budget keeps the inline Cimy abort affordable while
 // still reproducing it (it needs 248832 paths).
@@ -101,6 +105,9 @@ func TestSummaryDifferentialCorpus(t *testing.T) {
 			if a, b := summaryModeFingerprint(t, sum1), summaryModeFingerprint(t, sum4); a != b {
 				t.Errorf("summary workers=1 vs 4 differ:\n got: %s\nwant: %s", b, a)
 			}
+			if got, want := sum1.Metrics["summary_computed"], int64(buildComputed(app.Sources)); got != want {
+				t.Errorf("scanner summary_computed = %d, summary.Build Computed = %d", got, want)
+			}
 
 			if inline1.BudgetExceeded && !sum1.BudgetExceeded {
 				// The summary strategy completed an exploration the
@@ -122,6 +129,23 @@ func TestSummaryDifferentialCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildComputed runs summary.Build over sources parsed in name order,
+// dropping files with no AST, as the scanner does.
+func buildComputed(sources map[string]string) int {
+	names := make([]string, 0, len(sources))
+	for n := range sources {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var files []*phpast.File
+	for _, n := range names {
+		if f, _ := phpparser.Parse(n, sources[n]); f != nil {
+			files = append(files, f)
+		}
+	}
+	return summary.Build(files, smt.NewFactory()).Computed
 }
 
 // TestCimySummaryCompletes asserts the headline win at the paper's
@@ -244,38 +268,6 @@ func TestInlineReportHasNoSummaryCounters(t *testing.T) {
 	for k := range rep.Metrics {
 		if strings.HasPrefix(k, "summary_") || k == "interp_paths_avoided" {
 			t.Errorf("inline report carries summary counter %s", k)
-		}
-	}
-}
-
-// TestSummaryComputedMatchesBuild pins the counter the benchmark's
-// replay check relies on: for every corpus app, the scanner's
-// summary_computed equals summary.Build's Computed over the same
-// parsed files (name order, files with no AST dropped).
-func TestSummaryComputedMatchesBuild(t *testing.T) {
-	for _, app := range corpus.All() {
-		rep, err := NewScanner(Options{
-			Budgets:   Budgets{MaxPaths: 20000},
-			Interproc: interp.InterprocSummary,
-			Workers:   1,
-		}).Scan(context.Background(), Target{Name: app.Name, Sources: app.Sources})
-		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
-		}
-		names := make([]string, 0, len(app.Sources))
-		for n := range app.Sources {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var files []*phpast.File
-		for _, n := range names {
-			if f, _ := phpparser.Parse(n, app.Sources[n]); f != nil {
-				files = append(files, f)
-			}
-		}
-		want := summary.Build(files, smt.NewFactory()).Computed
-		if got := rep.Metrics["summary_computed"]; got != int64(want) {
-			t.Errorf("%s: scanner summary_computed = %d, summary.Build Computed = %d", app.Name, got, want)
 		}
 	}
 }
